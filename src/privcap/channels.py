@@ -34,12 +34,14 @@ class KrausChannel:
         ops = tuple(np.array(a, dtype=complex) for a in self.kraus)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        for a in ops:
+        for idx, a in enumerate(ops):
             if a.shape != (self.dim_out, self.dim_in):
                 raise ValueError(
                     f"Kraus operator shape {a.shape} does not match "
                     f"(dim_out, dim_in) = ({self.dim_out}, {self.dim_in})"
                 )
+            if not np.isfinite(a).all():
+                raise ValueError(f"Kraus operator {idx} has a non-finite entry")
             a.setflags(write=False)
         s = sum(dag(a) @ a for a in ops)
         deficit = float(np.abs(s - np.eye(self.dim_in)).max())
@@ -67,16 +69,19 @@ class KrausChannel:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim_in, self.dim_in):
             raise ValueError(f"input shape {rho.shape}, expected ({self.dim_in}, {self.dim_in})")
-        tmp = self._stack @ rho
-        return np.einsum("kio,kjo->ij", tmp, self._stack.conj())
+        return branch_outputs(self._stack, rho[None])[0][0]
 
-    def environment_output(self, rho: np.ndarray) -> np.ndarray:
-        """Complementary-channel output, entry (k, l) = Tr(A_k rho A_l†)."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim_in, self.dim_in):
-            raise ValueError(f"input shape {rho.shape}, expected ({self.dim_in}, {self.dim_in})")
-        tmp = self._stack @ rho
-        return np.einsum("kio,lio->kl", tmp, self._stack.conj())
+
+def branch_outputs(kraus_stack: np.ndarray, states: np.ndarray):
+    """Output and environment states of a stack of inputs rho_n.
+
+    Returns (rho_b, rho_e) with rho_b[n] = sum_k A_k rho_n A_k† and
+    rho_e[n][k, l] = Tr(A_k rho_n A_l†), the complementary-channel output.
+    """
+    tmp = kraus_stack[:, None] @ states[None]
+    rho_b = np.einsum("knio,kjo->nij", tmp, kraus_stack.conj())
+    rho_e = np.einsum("knio,lio->nkl", tmp, kraus_stack.conj())
+    return rho_b, rho_e
 
 
 @dataclass(frozen=True)

@@ -58,11 +58,6 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     return out.reshape(d_keep, d_keep)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.abs(m - dag(m)).max() <= tol
-
-
 def hermitian_eigenvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, real and ascending.
 

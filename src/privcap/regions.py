@@ -267,10 +267,14 @@ def _scan(family: BoundaryFamily, params, pt: RateTriple):
 
 def membership(family: BoundaryFamily, point, grid_size: int = 1001) -> MembershipResult:
     """Point-in-region test: true iff some grid parameter satisfies all three
-    inequalities within 1e-9; the grid is refined once around near-misses."""
+    inequalities within 1e-9; the grid is refined once around near-misses.
+    A non-finite coordinate is rejected."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     pt = point if isinstance(point, RateTriple) else RateTriple(*point)
+    for name, rate in (("R", pt.r), ("P", pt.p), ("S", pt.s)):
+        if not math.isfinite(rate):
+            raise ValueError(f"rate {name} must be finite, got {rate}")
     if family.hi == family.lo:
         params = [family.lo]
     else:

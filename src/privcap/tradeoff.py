@@ -16,12 +16,12 @@ so growing the restart count never changes earlier restarts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .channels import KrausChannel, warn_if_not_antidegradable
+from .channels import KrausChannel, branch_outputs, warn_if_not_antidegradable
 from .entropy import entropy_from_eigenvalues
 from .linalg import tensor_product
 from .search import XorShift64Star, coordinate_ascent, derive_seeds
@@ -44,6 +44,9 @@ class TradeoffWeights:
     mu: float
 
     def __post_init__(self):
+        for name, value in (("lam", self.lam), ("mu", self.mu)):
+            if not math.isfinite(value):
+                raise ValueError(f"weight {name} must be finite, got {value}")
         if self.lam < 0 or self.mu < 0:
             raise ValueError(f"weights must be non-negative, got ({self.lam}, {self.mu})")
 
@@ -79,6 +82,9 @@ class CqEnsemble:
         nx, ny = probs.shape
         if states.ndim != 4 or states.shape[:2] != (nx, ny) or states.shape[2] != states.shape[3]:
             raise ValueError(f"states shape {states.shape} inconsistent with probs {probs.shape}")
+        for name, arr in (("probs", probs), ("states", states)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
         if probs.min() < -1e-12:
             raise ValueError(f"negative probability {probs.min():.3e}")
         if abs(probs.sum() - 1.0) > 1e-9:
@@ -113,10 +119,12 @@ class CqEnsemble:
 @dataclass(frozen=True)
 class CqEvaluation:
     """All conditional/averaged output and environment states of an ensemble
-    through a channel, together with the entropies used by the region bounds.
+    through a channel, together with the entropies used by the region bounds
+    and the searches.
 
     Conditional states rho_b_x / rho_e_x are normalized; rows with
     p(x) = 0 hold maximally mixed placeholders and carry zero weight.
+    h_in_x is the averaged input entropy sum_xy p(x, y) H(rho_{x,y}).
     """
 
     probs: np.ndarray
@@ -131,7 +139,8 @@ class CqEvaluation:
     h_b_xy: float
     h_e_x: float
     h_e_xy: float
-    h_e: float = field(default=0.0)
+    h_e: float
+    h_in_x: float
 
 
 @dataclass(frozen=True)
@@ -141,16 +150,6 @@ class RegionQuantities:
     rp: float
     ps: float
     rps: float
-
-
-class _EntropyBundle(NamedTuple):
-    h_b: float
-    h_e: float
-    h_b_x: float
-    h_e_x: float
-    h_b_xy: float
-    h_e_xy: float
-    h_in_x: float
 
 
 def _eigvals_psd(batch: np.ndarray) -> np.ndarray:
@@ -170,7 +169,7 @@ def _entropies_psd(batch: np.ndarray) -> np.ndarray:
 
 
 def _conditional_parts(probs: np.ndarray, branch: np.ndarray):
-    """Average states over y per x, returning (p_x, normalized states, weighted entropy)."""
+    """Average states over y per x, returning (normalized states, weighted entropy)."""
     nx, ny = probs.shape
     d = branch.shape[-1]
     p_x = probs.sum(axis=1)
@@ -179,66 +178,43 @@ def _conditional_parts(probs: np.ndarray, branch: np.ndarray):
     denom = np.where(safe, p_x, 1.0)[:, None, None]
     cond = np.where(safe[:, None, None], summed / denom, (np.eye(d) / d)[None])
     h = float(np.dot(np.where(safe, p_x, 0.0), _entropies_psd(cond)))
-    return p_x, cond, h
+    return cond, h
 
 
-def _bundle(kstack: np.ndarray, probs: np.ndarray, states_flat: np.ndarray,
-            want_states: bool = False):
-    """Entropy bundle of an ensemble; optionally also the intermediate states."""
+def _bundle(kstack: np.ndarray, probs: np.ndarray, states_flat: np.ndarray) -> CqEvaluation:
+    """Evaluate an ensemble given as (nx, ny) probs and a flat stack of input states."""
     nx, ny = probs.shape
     p_flat = probs.reshape(-1)
-    tmp = kstack[:, None] @ states_flat[None]
-    rho_b = np.einsum("knio,kjo->nij", tmp, kstack.conj())
-    rho_e = np.einsum("knio,lio->nkl", tmp, kstack.conj())
-    h_b_branch = _entropies_psd(rho_b)
-    h_e_branch = _entropies_psd(rho_e)
-    h_b_xy = float(np.dot(p_flat, h_b_branch))
-    h_e_xy = float(np.dot(p_flat, h_e_branch))
-    h_in_x = float(np.dot(p_flat, _entropies_psd(states_flat)))
-    _, cond_b, h_b_x = _conditional_parts(probs, rho_b)
-    _, cond_e, h_e_x = _conditional_parts(probs, rho_e)
-    rho_b_bar = np.tensordot(p_flat, rho_b, axes=1)
-    rho_e_bar = np.tensordot(p_flat, rho_e, axes=1)
-    h_b = float(_entropies_psd(rho_b_bar[None])[0])
-    h_e = float(_entropies_psd(rho_e_bar[None])[0])
-    bundle = _EntropyBundle(h_b, h_e, h_b_x, h_e_x, h_b_xy, h_e_xy, h_in_x)
-    if not want_states:
-        return bundle
+    rho_b, rho_e = branch_outputs(kstack, states_flat)
     d_b = rho_b.shape[-1]
     d_e = rho_e.shape[-1]
-    parts = (
-        rho_b.reshape(nx, ny, d_b, d_b),
-        rho_e.reshape(nx, ny, d_e, d_e),
-        cond_b,
-        cond_e,
-        rho_b_bar,
-        rho_e_bar,
+    cond_b, h_b_x = _conditional_parts(probs, rho_b)
+    cond_e, h_e_x = _conditional_parts(probs, rho_e)
+    rho_b_bar = np.tensordot(p_flat, rho_b, axes=1)
+    rho_e_bar = np.tensordot(p_flat, rho_e, axes=1)
+    return CqEvaluation(
+        probs=probs,
+        rho_b_xy=rho_b.reshape(nx, ny, d_b, d_b),
+        rho_e_xy=rho_e.reshape(nx, ny, d_e, d_e),
+        rho_b_x=cond_b,
+        rho_e_x=cond_e,
+        rho_b=rho_b_bar,
+        rho_e=rho_e_bar,
+        h_b=float(_entropies_psd(rho_b_bar[None])[0]),
+        h_b_x=h_b_x,
+        h_b_xy=float(np.dot(p_flat, _entropies_psd(rho_b))),
+        h_e_x=h_e_x,
+        h_e_xy=float(np.dot(p_flat, _entropies_psd(rho_e))),
+        h_e=float(_entropies_psd(rho_e_bar[None])[0]),
+        h_in_x=float(np.dot(p_flat, _entropies_psd(states_flat))),
     )
-    return bundle, parts
 
 
 def evaluate_ensemble(ch: KrausChannel, ens: CqEnsemble) -> CqEvaluation:
     """Push every ensemble branch through the channel and collect states/entropies."""
     if ens.dim != ch.dim_in:
         raise ValueError(f"ensemble states have dim {ens.dim}, channel expects {ch.dim_in}")
-    flat = ens.states.reshape(-1, ens.dim, ens.dim)
-    bundle, parts = _bundle(ch.kraus_stack, ens.probs, flat, want_states=True)
-    rho_b_xy, rho_e_xy, cond_b, cond_e, rho_b, rho_e = parts
-    return CqEvaluation(
-        probs=ens.probs,
-        rho_b_xy=rho_b_xy,
-        rho_e_xy=rho_e_xy,
-        rho_b_x=cond_b,
-        rho_e_x=cond_e,
-        rho_b=rho_b,
-        rho_e=rho_e,
-        h_b=bundle.h_b,
-        h_b_x=bundle.h_b_x,
-        h_b_xy=bundle.h_b_xy,
-        h_e_x=bundle.h_e_x,
-        h_e_xy=bundle.h_e_xy,
-        h_e=bundle.h_e,
-    )
+    return _bundle(ch.kraus_stack, ens.probs, ens.states.reshape(-1, ens.dim, ens.dim))
 
 
 def region_quantities(ev: CqEvaluation) -> RegionQuantities:
@@ -405,7 +381,7 @@ def _random_start(rng: XorShift64Star, d: int, nx: int, ny: int, space_mixed: bo
     return space.decode(theta)
 
 
-def _run_search(ch: KrausChannel, combine: Callable[[_EntropyBundle], float],
+def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], float],
                 cfg: SearchConfig, *, mixed: bool = True, ny_forced: int | None = None,
                 extra_starts=()):
     """Random-restart coordinate search over ensembles; deterministic by seed.
@@ -489,15 +465,10 @@ def maximize_p(ch: KrausChannel, w: TradeoffWeights, cfg: SearchConfig | None = 
     restarts.
     """
     cfg = cfg or SearchConfig()
-
-    def combine(b: _EntropyBundle) -> float:
-        i_y_e_x = b.h_e_x - b.h_e_xy
-        rp = b.h_b - b.h_b_xy
-        ps = (b.h_b_x - b.h_b_xy) - i_y_e_x
-        return rp + w.lam * ps + w.mu * (rp - i_y_e_x)
-
     extra = [(e.probs, e.states) for e in starts]
-    val, probs, states, diag = _run_search(ch, combine, cfg, mixed=True, extra_starts=extra)
+    val, probs, states, diag = _run_search(
+        ch, lambda ev: objective_p(ev, w), cfg, mixed=True, extra_starts=extra
+    )
     if diagnostics is not None:
         diagnostics.update(diag)
     nx, ny = probs.shape
@@ -509,7 +480,7 @@ def holevo_capacity(ch: KrausChannel, cfg: SearchConfig | None = None) -> float:
     """max I(X;B) over finite ensembles of pure input states."""
     cfg = cfg or SearchConfig()
     val, _, _, _ = _run_search(
-        ch, lambda b: b.h_b - b.h_b_x, cfg, mixed=False, ny_forced=1
+        ch, lambda ev: ev.h_b - ev.h_b_x, cfg, mixed=False, ny_forced=1
     )
     return val
 
@@ -518,7 +489,7 @@ def private_information(ch: KrausChannel, cfg: SearchConfig | None = None) -> fl
     """max I(X;B) - I(X;E) over finite ensembles of mixed input states."""
     cfg = cfg or SearchConfig()
     val, _, _, _ = _run_search(
-        ch, lambda b: (b.h_b - b.h_b_x) - (b.h_e - b.h_e_x), cfg, mixed=True, ny_forced=1
+        ch, lambda ev: (ev.h_b - ev.h_b_x) - (ev.h_e - ev.h_e_x), cfg, mixed=True, ny_forced=1
     )
     return val
 
@@ -534,7 +505,7 @@ def cq_tradeoff_f(ch: KrausChannel, mu: float, cfg: SearchConfig | None = None) 
     cfg = cfg or SearchConfig()
     val, _, _, _ = _run_search(
         ch,
-        lambda b: (b.h_b - b.h_b_x) + (1.0 + mu) * (b.h_b_x - b.h_e_x),
+        lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * (ev.h_b_x - ev.h_e_x),
         cfg, mixed=True, ny_forced=1,
     )
     return val
@@ -546,12 +517,10 @@ def public_private_tradeoff(ch: KrausChannel, mu: float,
     if mu < 0:
         raise ValueError("mu must be non-negative")
     cfg = cfg or SearchConfig()
-
-    def combine(b: _EntropyBundle) -> float:
-        ps = (b.h_b_x - b.h_b_xy) - (b.h_e_x - b.h_e_xy)
-        return (b.h_b - b.h_b_x) + (1.0 + mu) * ps
-
-    val, _, _, _ = _run_search(ch, combine, cfg, mixed=True)
+    val, _, _, _ = _run_search(
+        ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * region_quantities(ev).ps,
+        cfg, mixed=True,
+    )
     return val
 
 
@@ -569,11 +538,11 @@ def quantum_dynamic_d(ch: KrausChannel, w: TradeoffWeights,
     """
     cfg = cfg or SearchConfig()
 
-    def combine(b: _EntropyBundle) -> float:
+    def combine(ev: CqEvaluation) -> float:
         return (
-            b.h_b + (b.h_in_x - b.h_e_x)
-            + w.lam * (b.h_b_x - b.h_e_x)
-            + w.mu * (b.h_b - b.h_e_x)
+            ev.h_b + (ev.h_in_x - ev.h_e_x)
+            + w.lam * (ev.h_b_x - ev.h_e_x)
+            + w.mu * (ev.h_b - ev.h_e_x)
         )
 
     val, _, _, _ = _run_search(ch, combine, cfg, mixed=True, ny_forced=1)

@@ -221,6 +221,16 @@ class TestChannelDocuments:
                       np.array([[0, -1j], [1j, 0]])):
             assert np.abs(ch.apply(basis.astype(complex)) - ref.apply(basis.astype(complex))).max() < 1e-12
 
+    def test_rejects_non_finite_entry(self):
+        doc = channel_document(make_dephasing(0.2))
+        doc["kraus"][0][0][0] = [float("nan"), 0.0]
+        with pytest.raises(ValueError, match="Kraus operator 0 has a non-finite entry"):
+            load_channel(doc)
+        doc = channel_document(make_dephasing(0.2))
+        doc["kraus"][1][1][1] = [0.0, float("inf")]
+        with pytest.raises(ValueError, match="Kraus operator 1"):
+            load_channel(doc)
+
     def test_parse_error(self):
         with pytest.raises(ValueError, match="missing"):
             load_channel({"dim_in": 2})

@@ -168,6 +168,13 @@ class TestBadArguments:
                       "-R", "0", "-P", "0", "-S", "0")
         assert res.returncode == 2
 
+    def test_non_finite_rate(self):
+        res = run_cli("member", "--channel", "dephasing", "--p", "0.2",
+                      "-R", "nan", "-P", "0", "-S", "0")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and "rate R" in res.stderr
+        assert res.stdout == ""
+
     def test_unknown_channel(self):
         res = run_cli("region", "--channel", "amplitude", "--out", "/tmp/x.csv")
         assert res.returncode == 2

@@ -172,6 +172,13 @@ class TestObjective:
         with pytest.raises(ValueError):
             TradeoffWeights(-0.1, 0.0)
 
+    def test_non_finite_weights_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="lam"):
+                TradeoffWeights(bad, 0.0)
+            with pytest.raises(ValueError, match="mu"):
+                TradeoffWeights(0.0, bad)
+
 
 class TestMaximizeP:
     def test_identity_reaches_two(self):
@@ -213,6 +220,14 @@ class TestMaximizeP:
         _, best = maximize_p(make_dephasing(0.2), w, SearchConfig(seed=5, restarts=6, iters=200))
         v, _ = maximize_p(make_dephasing(0.2), w, cfg, starts=(best,))
         assert v >= objective_p(evaluate_ensemble(make_dephasing(0.2), best), w) - 1e-12
+
+    def test_search_value_is_public_evaluation(self):
+        # the search objective and evaluate_ensemble run the same code, so
+        # re-evaluating the returned ensemble reproduces the value exactly
+        w = TradeoffWeights(1.0, 0.5)
+        for ch in (make_dephasing(0.2), make_erasure(0.25)):
+            v, ens = maximize_p(ch, w, FAST)
+            assert v == objective_p(evaluate_ensemble(ch, ens), w)
 
 
 class TestAntidegradable:
@@ -338,3 +353,14 @@ class TestInternals:
         bad_state = np.array([[np.diag([0.9, 0.2])]])
         with pytest.raises(ValueError, match="trace"):
             CqEnsemble(np.array([[1.0]]), bad_state.astype(complex))
+
+    def test_cq_ensemble_rejects_non_finite(self):
+        mixed = np.array([[np.eye(2) / 2] * 2], dtype=complex)
+        with pytest.raises(ValueError, match="probs"):
+            CqEnsemble(np.array([[np.nan, 1.0]]), mixed)
+        with pytest.raises(ValueError, match="probs"):
+            CqEnsemble(np.array([[np.inf, 1.0]]), mixed)
+        bad = mixed.copy()
+        bad[0, 1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="states"):
+            CqEnsemble(np.array([[0.5, 0.5]]), bad)
