@@ -22,7 +22,7 @@ from .regions import (
     pareto_point,
     sample_boundary,
 )
-from .tradeoff import SearchConfig, TradeoffWeights, holevo_capacity, maximize_p
+from .tradeoff import SearchConfig, TradeoffWeights, maximize_p
 from .verify import SUITE_NAMES, run_suite
 
 _CLOSED_FORM_CHANNELS = ("dephasing", "erasure", "cloning", "eb")
@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    verify.add_argument("--channel", choices=("dephasing",), default=None)
     verify.add_argument("--p", type=float, default=None)
     verify.add_argument("--eps", type=float, default=None)
     verify.add_argument("--seed", type=int, default=None)
@@ -96,7 +95,7 @@ def _require(args, flag: str):
     return val
 
 
-def _family_of(args, cfg: SearchConfig):
+def _family_of(args):
     """Boundary family (closed-form channels only)."""
     if args.channel == "dephasing":
         return dephasing_family(_require(args, "p"))
@@ -106,8 +105,8 @@ def _family_of(args, cfg: SearchConfig):
         return cloning_family(_require(args, "n"))
     if args.channel == "eb":
         # canonical entanglement-breaking instance: the completely
-        # dephasing channel, whose Holevo capacity is found numerically
-        return eb_family(holevo_capacity(make_dephasing(1.0), cfg))
+        # dephasing channel, which carries exactly one classical bit
+        return eb_family(1.0)
     raise ValueError(f"no closed-form boundary for channel '{args.channel}'")
 
 
@@ -147,8 +146,7 @@ pause -1
 
 
 def cmd_region(args) -> int:
-    cfg = SearchConfig(seed=_seed_of(args))
-    family = _family_of(args, cfg)
+    family = _family_of(args)
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
     triples = sample_boundary(family, args.grid)
@@ -201,7 +199,7 @@ def cmd_formula(args) -> int:
         "gap": None,
     }
     if args.channel in _CLOSED_FORM_CHANNELS:
-        pp = pareto_point(_family_of(args, cfg), w)
+        pp = pareto_point(_family_of(args), w)
         record["closed_form_value"] = pp.value
         record["param"] = pp.param
         record["gap"] = pp.value - numeric
@@ -226,8 +224,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_member(args) -> int:
-    cfg = SearchConfig(seed=_seed_of(args))
-    family = _family_of(args, cfg)
+    family = _family_of(args)
     point = (args.rate_r, args.rate_p, args.rate_s)
     result = membership(family, point, grid_size=args.grid)
     if result.inside:

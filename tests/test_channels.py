@@ -19,6 +19,7 @@ from privcap import (
     tensor_product,
     von_neumann_entropy,
 )
+from privcap.channels import branch_outputs
 from privcap.regions import dephasing_gamma
 from privcap.entropy import binary_entropy
 from conftest import random_density, random_pure_density, random_unitary
@@ -175,6 +176,18 @@ class TestEvolve:
         lam, eta = cloning_spectra(n, mu)
         assert np.allclose(np.sort(np.diag(res.rho_b).real), np.sort(lam), atol=1e-12)
         assert np.allclose(np.sort(np.diag(res.rho_e).real), np.sort(eta), atol=1e-12)
+
+    def test_branch_outputs_match_isometry(self, rng):
+        # the Kraus action every search uses, against the dense V rho V† oracle
+        channels = (make_dephasing(0.2), make_erasure(0.25), make_cloning(10),
+                    tensor_channels(make_erasure(0.25), make_erasure(0.25)))
+        for ch in channels:
+            rhos = np.array([random_density(rng, ch.dim_in) for _ in range(5)])
+            rho_b, rho_e = branch_outputs(ch.kraus_stack, rhos)
+            for n, rho in enumerate(rhos):
+                res = evolve(ch, rho)
+                assert np.abs(rho_b[n] - res.rho_b).max() < 1e-12
+                assert np.abs(rho_e[n] - res.rho_e).max() < 1e-12
 
 
 class TestTensorChannels:

@@ -50,6 +50,14 @@ class TestRegion:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert len({row[1] for row in rows}) == 1
 
+    def test_eb_exact_one_bit(self, tmp_path):
+        # the completely dephasing channel carries exactly one classical bit
+        out = tmp_path / "eb.csv"
+        res = run_cli("region", "--channel", "eb", "--grid", "3", "--out", str(out))
+        assert res.returncode == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[1:] == ["0.0,1.0,0.0,1.0"] * 3
+
     def test_byte_stable(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:
@@ -113,6 +121,11 @@ class TestFormula:
         record = json.loads(res.stdout)
         assert record["closed_form_value"] is None
         assert record["numeric_value"] == pytest.approx(2.0, abs=5e-3)
+
+    def test_eb_closed_form(self):
+        res = run_cli("formula", "--channel", "eb", "--mu", "1", "--restarts", "2")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["closed_form_value"] == 2.0
 
     def test_seed_env_fallback(self):
         args = ("formula", "--channel", "dephasing", "--p", "0.2",
