@@ -1,13 +1,14 @@
 """Command-line front end: region surface data, formula evaluation,
 verification suites, and membership tests.
 
-Exit codes: 0 success (member: inside), 1 check failure / outside,
-2 bad arguments, 3 I/O failure.
+Exit codes: 0 success (member: inside), 1 check failure / outside /
+search value above its closed form, 2 bad arguments, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -23,9 +24,12 @@ from .regions import (
     sample_boundary,
 )
 from .tradeoff import SearchConfig, TradeoffWeights, maximize_p
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, SUITES, run_suite
 
 _CLOSED_FORM_CHANNELS = ("dephasing", "erasure", "cloning", "eb")
+# a search value above the closed-form maximum by more than this is a bug
+_ABOVE_CLOSED_FORM_TOL = 1e-6
+_SUITE_FLAGS = ("p", "eps")
 
 
 def _fmt(x: float) -> str:
@@ -60,7 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     region.add_argument("--plot", action="store_true",
                         help="also emit a gnuplot script next to the CSV")
 
-    formula = sub.add_parser("formula", help="evaluate the trade-off formula")
+    formula = sub.add_parser(
+        "formula", help="evaluate the trade-off formula",
+        description="Print one JSON record.  numeric_value is a lower bound from a "
+        "seeded local search; closed_form_value is the exact maximum where one is "
+        "known, and a numeric_value above it is reported as an internal error (exit 1).")
     add_channel_flags(formula)
     formula.add_argument("--lambda", dest="lam", type=float, default=0.0)
     formula.add_argument("--mu", type=float, default=0.0)
@@ -204,16 +212,21 @@ def cmd_formula(args) -> int:
         record["param"] = pp.param
         record["gap"] = pp.value - numeric
     print(json.dumps(record, allow_nan=False))
+    closed = record["closed_form_value"]
+    if closed is not None and numeric > closed + _ABOVE_CLOSED_FORM_TOL:
+        print(f"internal error: search value {_fmt(numeric)} exceeds the closed form "
+              f"{_fmt(closed)}; one of them is wrong", file=sys.stderr)
+        return 1
     return 0
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("degradable-compare", "pauli-symmetry") and args.p is not None:
-        kwargs["p"] = args.p
-    if args.suite in ("antidegradable", "erasure-additivity", "erasure-affine") \
-            and args.eps is not None:
-        kwargs["eps"] = args.eps
+    accepted = inspect.signature(SUITES[args.suite]).parameters
+    kwargs = {flag: getattr(args, flag) for flag in _SUITE_FLAGS
+              if getattr(args, flag) is not None}
+    for flag in kwargs:
+        if flag not in accepted:
+            raise ValueError(f"suite {args.suite} takes no --{flag}")
     checks = run_suite(args.suite, seed=_seed_of(args), **kwargs)
     all_ok = True
     for name, ok, residual in checks:

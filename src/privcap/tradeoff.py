@@ -16,7 +16,8 @@ so growing the restart count never changes earlier restarts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,6 +28,14 @@ from .linalg import tensor_product
 from .search import XorShift64Star, coordinate_ascent, derive_seeds
 
 PROB_FLOOR = 1e-15
+
+# Probes per batched objective call in the searches (see coordinate_ascent).
+# A batch costs a fixed overhead plus a share per candidate that grows with
+# the output and environment dimensions; past SPECULATE_MAX_DIMS that share
+# dominates and a discarded probe costs as much as a useful one, so larger
+# channels evaluate one probe per call.
+LOOKAHEAD = 8
+SPECULATE_MAX_DIMS = 6
 
 _PAULI = (
     np.eye(2, dtype=complex),
@@ -125,6 +134,10 @@ class CqEvaluation:
     Conditional states rho_b_x / rho_e_x are normalized; rows with
     p(x) = 0 hold maximally mixed placeholders and carry zero weight.
     h_in_x is the averaged input entropy sum_xy p(x, y) H(rho_{x,y}).
+    A batched evaluation (a search objective's stack of candidates)
+    carries a leading axis of one row per ensemble on every field, so its
+    entropies are (B,) arrays; ``evaluate_ensemble`` returns one ensemble
+    with float entropies.
     """
 
     probs: np.ndarray
@@ -134,22 +147,23 @@ class CqEvaluation:
     rho_e_x: np.ndarray
     rho_b: np.ndarray
     rho_e: np.ndarray
-    h_b: float
-    h_b_x: float
-    h_b_xy: float
-    h_e_x: float
-    h_e_xy: float
-    h_e: float
-    h_in_x: float
+    h_b: float | np.ndarray
+    h_b_x: float | np.ndarray
+    h_b_xy: float | np.ndarray
+    h_e_x: float | np.ndarray
+    h_e_xy: float | np.ndarray
+    h_e: float | np.ndarray
+    h_in_x: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class RegionQuantities:
-    """Right-hand sides of the three region inequalities at one ensemble."""
+    """Right-hand sides of the three region inequalities at one ensemble
+    ((B,) arrays for a batched ``CqEvaluation``)."""
 
-    rp: float
-    ps: float
-    rps: float
+    rp: float | np.ndarray
+    ps: float | np.ndarray
+    rps: float | np.ndarray
 
 
 def _eigvals_psd(batch: np.ndarray) -> np.ndarray:
@@ -168,45 +182,72 @@ def _entropies_psd(batch: np.ndarray) -> np.ndarray:
     return entropy_from_eigenvalues(np.clip(_eigvals_psd(batch), 0.0, None))
 
 
-def _conditional_parts(probs: np.ndarray, branch: np.ndarray):
-    """Average states over y per x, returning (normalized states, weighted entropy)."""
-    nx, ny = probs.shape
+def _expect(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise sum_n p[b, n] x[b, n, ...] for (B, n) weights.
+
+    A stacked (1, n) @ (n, m) product runs the BLAS dot / gemv of
+    ``np.dot`` and ``np.tensordot`` on each row, so a row of the batch is
+    bitwise the unbatched value; an elementwise product summed by numpy
+    would associate differently.
+    """
+    rows, n = p.shape
+    return np.matmul(p[:, None, :], x.reshape(rows, n, -1)).reshape(x.shape[:1] + x.shape[2:])
+
+
+def _system(probs: np.ndarray, p_x: np.ndarray, branch: np.ndarray):
+    """States and entropies of one output system over B ensembles of one shape.
+
+    ``probs`` is (B, nx, ny), ``p_x`` its sums over y and ``branch`` the
+    (B*nx*ny, d, d) branch states.  Returns the branch states by (x, y),
+    the conditional states per x, the average state, and H, H(.|X) and
+    H(.|XY).  Conditional states are normalized; where p(x) = 0 they are
+    maximally mixed placeholders of zero weight.  The branch, conditional
+    and average states share one eigen-solve.
+    """
+    rows, nx, ny = probs.shape
+    nb = nx * ny
     d = branch.shape[-1]
-    p_x = probs.sum(axis=1)
-    summed = np.einsum("xy,xyij->xij", probs, branch.reshape(nx, ny, d, d))
+    by_xy = branch.reshape(rows, nx, ny, d, d)
+    summed = np.einsum("bxy,bxyij->bxij", probs, by_xy)
     safe = p_x > PROB_FLOOR
-    denom = np.where(safe, p_x, 1.0)[:, None, None]
-    cond = np.where(safe[:, None, None], summed / denom, (np.eye(d) / d)[None])
-    h = float(np.dot(np.where(safe, p_x, 0.0), _entropies_psd(cond)))
-    return cond, h
+    denom = np.where(safe, p_x, 1.0)[..., None, None]
+    cond = np.where(safe[..., None, None], summed / denom, np.eye(d) / d)
+    p_flat = probs.reshape(rows, nb)
+    flat = branch.reshape(rows, nb, d, d)
+    avg = _expect(p_flat, flat)
+    h = _entropies_psd(np.concatenate([flat, cond, avg[:, None]], axis=1))
+    h_x = _expect(np.where(safe, p_x, 0.0), h[:, nb:-1])
+    return by_xy, cond, avg, h[:, -1], h_x, _expect(p_flat, h[:, :nb])
 
 
-def _bundle(kstack: np.ndarray, probs: np.ndarray, states_flat: np.ndarray) -> CqEvaluation:
-    """Evaluate an ensemble given as (nx, ny) probs and a flat stack of input states."""
-    nx, ny = probs.shape
-    p_flat = probs.reshape(-1)
-    rho_b, rho_e = branch_outputs(kstack, states_flat)
-    d_b = rho_b.shape[-1]
-    d_e = rho_e.shape[-1]
-    cond_b, h_b_x = _conditional_parts(probs, rho_b)
-    cond_e, h_e_x = _conditional_parts(probs, rho_e)
-    rho_b_bar = np.tensordot(p_flat, rho_b, axes=1)
-    rho_e_bar = np.tensordot(p_flat, rho_e, axes=1)
+def _bundle(kstack: np.ndarray, probs: np.ndarray, states: np.ndarray) -> CqEvaluation:
+    """Evaluate B ensembles of one alphabet shape at once.
+
+    ``probs`` is (B, nx, ny) and ``states`` (B, nx*ny, d, d); every field
+    of the result carries the leading B axis, and each row equals the
+    evaluation of that ensemble alone, bit for bit.
+    """
+    rows, nx, ny = probs.shape
+    d = states.shape[-1]
+    p_x = probs.sum(axis=2)
+    rho_b, rho_e = branch_outputs(kstack, states.reshape(rows * nx * ny, d, d))
+    rho_b_xy, rho_b_x, rho_b_bar, h_b, h_b_x, h_b_xy = _system(probs, p_x, rho_b)
+    rho_e_xy, rho_e_x, rho_e_bar, h_e, h_e_x, h_e_xy = _system(probs, p_x, rho_e)
     return CqEvaluation(
         probs=probs,
-        rho_b_xy=rho_b.reshape(nx, ny, d_b, d_b),
-        rho_e_xy=rho_e.reshape(nx, ny, d_e, d_e),
-        rho_b_x=cond_b,
-        rho_e_x=cond_e,
+        rho_b_xy=rho_b_xy,
+        rho_e_xy=rho_e_xy,
+        rho_b_x=rho_b_x,
+        rho_e_x=rho_e_x,
         rho_b=rho_b_bar,
         rho_e=rho_e_bar,
-        h_b=float(_entropies_psd(rho_b_bar[None])[0]),
+        h_b=h_b,
         h_b_x=h_b_x,
-        h_b_xy=float(np.dot(p_flat, _entropies_psd(rho_b))),
+        h_b_xy=h_b_xy,
         h_e_x=h_e_x,
-        h_e_xy=float(np.dot(p_flat, _entropies_psd(rho_e))),
-        h_e=float(_entropies_psd(rho_e_bar[None])[0]),
-        h_in_x=float(np.dot(p_flat, _entropies_psd(states_flat))),
+        h_e_xy=h_e_xy,
+        h_e=h_e,
+        h_in_x=_expect(probs.reshape(rows, -1), _entropies_psd(states)),
     )
 
 
@@ -214,7 +255,9 @@ def evaluate_ensemble(ch: KrausChannel, ens: CqEnsemble) -> CqEvaluation:
     """Push every ensemble branch through the channel and collect states/entropies."""
     if ens.dim != ch.dim_in:
         raise ValueError(f"ensemble states have dim {ens.dim}, channel expects {ch.dim_in}")
-    return _bundle(ch.kraus_stack, ens.probs, ens.states.reshape(-1, ens.dim, ens.dim))
+    ev = _bundle(ch.kraus_stack, ens.probs[None], ens.states.reshape(1, -1, ens.dim, ens.dim))
+    rows = {f.name: getattr(ev, f.name)[0] for f in fields(ev)}
+    return CqEvaluation(**{k: v if v.ndim else float(v) for k, v in rows.items()})
 
 
 def region_quantities(ev: CqEvaluation) -> RegionQuantities:
@@ -225,7 +268,7 @@ def region_quantities(ev: CqEvaluation) -> RegionQuantities:
     return RegionQuantities(rp=rp, ps=ps, rps=rp - i_y_e_x)
 
 
-def objective_p(ev: CqEvaluation, w: TradeoffWeights) -> float:
+def objective_p(ev: CqEvaluation, w: TradeoffWeights) -> float | np.ndarray:
     """Weighted trade-off objective rp + lam*ps + mu*rps."""
     q = region_quantities(ev)
     return q.rp + w.lam * q.ps + w.mu * q.rps
@@ -285,14 +328,17 @@ class _ParamSpace:
         self.size = self.nb + self.nb * self.spp
 
     def decode(self, theta: np.ndarray):
+        """(B, size) parameters -> (B, nx, ny) probs and (B, nb, d, d) states."""
+        rows = len(theta)
         nb, d = self.nb, self.d
-        q = theta[:nb]
+        q = theta[:, :nb]
         w = q * q
-        tot = w.sum()
-        probs = (w / tot if tot > PROB_FLOOR else np.full(nb, 1.0 / nb)).reshape(self.nx, self.ny)
-        s = theta[nb:].reshape(nb, self.spp)
+        tot = w.sum(axis=1)
+        safe = tot > PROB_FLOOR
+        probs = np.where(safe[:, None], w / np.where(safe, tot, 1.0)[:, None], 1.0 / nb)
+        s = theta[:, nb:].reshape(rows * nb, self.spp)
         if self.mixed:
-            m = (s[:, : d * d] + 1j * s[:, d * d :]).reshape(nb, d, d)
+            m = (s[:, : d * d] + 1j * s[:, d * d :]).reshape(-1, d, d)
             g = m @ m.conj().transpose(0, 2, 1)
             tr = np.einsum("nii->n", g).real
             safe = tr > PROB_FLOOR
@@ -305,7 +351,7 @@ class _ParamSpace:
             v = np.where(safe[:, None], v / np.sqrt(np.where(safe, n2, 1.0))[:, None],
                          np.eye(d, dtype=complex)[0][None])
             g = np.einsum("ni,nj->nij", v, v.conj())
-        return probs, g
+        return probs.reshape(rows, self.nx, self.ny), g.reshape(rows, nb, d, d)
 
     def encode(self, probs: np.ndarray, states: np.ndarray) -> np.ndarray:
         q = np.sqrt(np.clip(probs.reshape(-1), 0.0, None))
@@ -378,13 +424,19 @@ def _random_start(rng: XorShift64Star, d: int, nx: int, ny: int, space_mixed: bo
     raw = 2.0 * rng.uniforms(nb * spp) - 1.0
     space = _ParamSpace(nx, ny, d, space_mixed)
     theta = np.concatenate([np.sqrt(probs.reshape(-1)), raw])
-    return space.decode(theta)
+    probs, states = space.decode(theta[None])
+    return probs[0], states[0]
 
 
-def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], float],
+def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
                 cfg: SearchConfig, *, mixed: bool = True, ny_forced: int | None = None,
                 extra_starts=()):
     """Random-restart coordinate search over ensembles; deterministic by seed.
+
+    Each restart's objective evaluates a stack of candidate parameter
+    vectors in one batched ``_bundle`` call; ``coordinate_ascent`` fills
+    the stack with the probes it is about to make, which leaves the result
+    as if the probes were made one at a time.
 
     Returns (best value, best probs, best states, diagnostics dict).
     """
@@ -397,6 +449,8 @@ def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], float],
     budget = 2 * cfg.iters
     seeds = derive_seeds(cfg.seed, cfg.restarts)
     canonical = _canonical_starts(d, nx_max, ny_max, mixed)
+    small = ch.dim_out + ch.num_kraus <= SPECULATE_MAX_DIMS
+    ascend = partial(coordinate_ascent, lookahead=LOOKAHEAD if small else 1)
 
     best_val = -math.inf
     best_probs = None
@@ -409,26 +463,23 @@ def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], float],
         flat0 = np.asarray(states0, dtype=complex).reshape(nx * ny, d, d)
 
         def f(theta):
-            probs, states = space.decode(theta)
-            return combine(_bundle(kstack, probs, states))
+            return combine(_bundle(kstack, *space.decode(theta)))
 
         theta0 = space.encode(np.asarray(probs0, dtype=float), flat0)
-        v0 = f(theta0)
+        v0 = f(theta0[None])[0]
         budget_a = max(2 * space.nb, int(0.4 * budget))
         budget_a = min(budget_a, budget - 2)
-        v1, th1, used = coordinate_ascent(
+        v1, th1, used = ascend(
             f, theta0, v0, coords=range(space.nb), step=0.35, budget=budget_a
         )
         remaining = budget - used
-        v2, th2, used2 = coordinate_ascent(f, th1, v1, step=0.3, budget=remaining // 2)
-        v3, th3, used3 = coordinate_ascent(
-            f, th2, v2, step=0.3, budget=remaining - used2
-        )
+        v2, th2, used2 = ascend(f, th1, v1, step=0.3, budget=remaining // 2)
+        v3, th3, used3 = ascend(f, th2, v2, step=0.3, budget=remaining - used2)
         # still improving in the final stretch with the budget used up:
         # the refinement likely had not converged
-        under_converged = used2 + used3 >= remaining and v3 > v2 + 1e-12
-        probs, states = space.decode(th3)
-        return v3, probs, states, under_converged
+        under_converged = bool(used2 + used3 >= remaining and v3 > v2 + 1e-12)
+        probs, states = space.decode(th3[None])
+        return float(v3), probs[0], states[0], under_converged
 
     start_list = [(np.asarray(p, dtype=float), np.asarray(s, dtype=complex))
                   for p, s in extra_starts]
@@ -538,7 +589,7 @@ def quantum_dynamic_d(ch: KrausChannel, w: TradeoffWeights,
     """
     cfg = cfg or SearchConfig()
 
-    def combine(ev: CqEvaluation) -> float:
+    def combine(ev: CqEvaluation) -> np.ndarray:
         return (
             ev.h_b + (ev.h_in_x - ev.h_e_x)
             + w.lam * (ev.h_b_x - ev.h_e_x)

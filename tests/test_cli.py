@@ -127,6 +127,24 @@ class TestFormula:
         assert res.returncode == 0
         assert json.loads(res.stdout)["closed_form_value"] == 2.0
 
+    def test_search_above_closed_form_flagged(self, monkeypatch, capsys):
+        # the closed form is the maximum, so a search value above it is a bug;
+        # the record on stdout keeps its format
+        from privcap import TradeoffWeights, cli, erasure_family, pareto_point
+
+        pp = pareto_point(erasure_family(0.25), TradeoffWeights(1.0, 0.0))
+        closed = pp.value
+        args = ["formula", "--channel", "erasure", "--eps", "0.25", "--lambda", "1"]
+        for above, code in ((1e-7, 0), (1e-3, 1)):
+            numeric = closed + above
+            monkeypatch.setattr(cli, "maximize_p", lambda ch, w, cfg: (numeric, None))
+            assert cli.main(args) == code
+            out, err = capsys.readouterr()
+            expect = {"closed_form_value": closed, "numeric_value": numeric,
+                      "param": pp.param, "gap": closed - numeric}
+            assert out == json.dumps(expect) + "\n"
+            assert ("internal error" in err) == bool(code)
+
     def test_seed_env_fallback(self):
         args = ("formula", "--channel", "dephasing", "--p", "0.2",
                 "--lambda", "1", "--mu", "1", "--restarts", "4")
@@ -145,6 +163,14 @@ class TestVerify:
         res = run_cli("verify", "--suite", "erasure-affine", "--eps", "0.25")
         assert res.returncode == 0
         assert "FAIL" not in res.stdout
+
+    def test_parameter_not_taken_rejected(self):
+        for suite, flag in (("unit-matrix", "--eps"), ("unit-matrix", "--p"),
+                            ("erasure-affine", "--p"), ("pauli-symmetry", "--eps")):
+            res = run_cli("verify", "--suite", suite, flag, "0.9")
+            assert res.returncode == 2
+            assert suite in res.stderr and flag in res.stderr
+            assert res.stdout == ""
 
     def test_unknown_suite_rejected(self):
         res = run_cli("verify", "--suite", "nonsense")

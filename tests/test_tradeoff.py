@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -22,12 +24,14 @@ from privcap import (
     public_private_tradeoff,
     quantum_dynamic_d,
     region_quantities,
+    tensor_channels,
     tensor_ensembles,
     tensor_product,
     von_neumann_entropy,
 )
 from privcap.entropy import binary_entropy
-from privcap.tradeoff import _eigvals_psd
+from privcap.search import coordinate_ascent
+from privcap.tradeoff import _bundle, _eigvals_psd, _expect, _ParamSpace
 from conftest import random_density, random_ensemble
 
 FAST = SearchConfig(seed=3, restarts=8, iters=200)
@@ -364,3 +368,114 @@ class TestInternals:
         bad[0, 1, 0, 1] = np.nan
         with pytest.raises(ValueError, match="states"):
             CqEnsemble(np.array([[0.5, 0.5]]), bad)
+
+    def test_expect_is_the_unbatched_dot(self, rng):
+        # batched averages keep the arithmetic of np.dot / np.tensordot per row
+        for n in (1, 3, 8, 16, 256):
+            p = rng.dirichlet(np.ones(n), size=3)
+            h = rng.random((3, n))
+            rho = rng.normal(size=(3, n, 3, 3)) + 1j * rng.normal(size=(3, n, 3, 3))
+            for r in range(3):
+                assert _expect(p, h)[r] == np.dot(p[r], h[r])
+                assert np.array_equal(_expect(p, rho)[r], np.tensordot(p[r], rho[r], axes=1))
+
+    def test_batched_bundle_rows_are_exact(self, rng):
+        # every row of a batched evaluation is bitwise its evaluation alone
+        erasure = make_erasure(0.25)
+        channels = (make_dephasing(0.2), erasure, make_cloning(10),
+                    tensor_channels(erasure, erasure))
+        for ch in channels:
+            d = ch.dim_in
+            for _ in range(4):
+                rows = int(rng.integers(1, 7))
+                nx, ny = (int(n) for n in rng.integers(1, 5, size=2))
+                probs = rng.dirichlet(np.ones(nx * ny), size=rows).reshape(rows, nx, ny)
+                if nx > 1:  # row 0 has an x of zero weight: the placeholder path
+                    probs[0, 0] = 0.0
+                    probs[0] /= probs[0].sum()
+                states = np.array([[random_density(rng, d) for _ in range(nx * ny)]
+                                   for _ in range(rows)])
+                batch = _bundle(ch.kraus_stack, probs, states)
+                for r in range(rows):
+                    alone = _bundle(ch.kraus_stack, probs[r:r + 1], states[r:r + 1])
+                    for f in fields(batch):
+                        assert np.array_equal(getattr(batch, f.name)[r],
+                                              getattr(alone, f.name)[0]), f.name
+
+    def test_speculative_ascent_is_one_probe_at_a_time(self, rng):
+        # probes evaluated ahead in batches leave value, point and count of the
+        # plain search unchanged, for budgets that end mid-coordinate and
+        # mid-ride, a coordinate subset, a flat objective that runs the step
+        # down to step_min, and NaN values
+        ch = make_dephasing(0.2)
+        w = TradeoffWeights(1.0, 0.5)
+        space = _ParamSpace(2, 2, 2, mixed=True)
+
+        def bundle(theta):
+            return objective_p(_bundle(ch.kraus_stack, *space.decode(theta)), w)
+
+        def nan_above(theta):
+            v = bundle(theta)
+            return np.where(theta[:, 0] > 0.8, np.nan, v)
+
+        def flat(theta):
+            return np.zeros(len(theta))
+
+        cases = [(fn, budget, coords) for fn in (bundle, nan_above)
+                 for budget, coords in ((1, None), (7, None), (33, range(4)), (400, None))]
+        cases.append((flat, 400, range(2)))
+        for fn, budget, coords in cases:
+            theta = rng.uniform(-1.0, 1.0, size=space.size)
+            v0 = fn(theta[None])[0]
+            want = _plain_ascent(lambda c: fn(c[None])[0], theta, v0, coords=coords,
+                                 step=0.3, budget=budget)
+            for lookahead in (1, 2, 8, 13):
+                sizes = []
+
+                def counted(cands):
+                    sizes.append(len(cands))
+                    return fn(cands)
+
+                got = coordinate_ascent(counted, theta, v0, coords=coords, step=0.3,
+                                        budget=budget, lookahead=lookahead)
+                assert got[0] == want[0] or np.isnan(got[0]) and np.isnan(want[0])
+                assert np.array_equal(got[1], want[1])
+                assert got[2] == want[2] <= budget
+                assert max(sizes) <= lookahead
+                assert lookahead > 1 or sum(sizes) == want[2]
+
+
+def _plain_ascent(fn, theta, value, *, coords, step, budget, shrink=0.5, step_min=1e-7):
+    """The coordinate pattern search with one objective call per probe."""
+    theta = np.array(theta, dtype=float)
+    order = list(range(len(theta))) if coords is None else list(coords)
+    used = cursor = stale = 0
+    while used < budget and step > step_min:
+        i = order[cursor % len(order)]
+        improved = False
+        for delta in (step, -step):
+            cand = theta.copy()
+            cand[i] += delta
+            v = fn(cand)
+            used += 1
+            if v > value:
+                theta, value = cand, v
+                improved = True
+                while used < budget:
+                    cand = theta.copy()
+                    cand[i] += delta
+                    v = fn(cand)
+                    used += 1
+                    if v > value:
+                        theta, value = cand, v
+                    else:
+                        break
+                break
+            if used >= budget:
+                break
+        stale = 0 if improved else stale + 1
+        if stale >= len(order):
+            step *= shrink
+            stale = 0
+        cursor += 1
+    return value, theta, used
