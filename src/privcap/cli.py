@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_channel_flags(p, with_custom=True):
+    def add_channel_flags(p, with_custom=True, searches=True):
         choices = list(_CLOSED_FORM_CHANNELS) + (["custom-file"] if with_custom else [])
         p.add_argument("--channel", required=True, choices=choices)
         p.add_argument("--p", type=float, help="dephasing probability")
@@ -54,10 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
         if with_custom:
             p.add_argument("--file", help="channel JSON document (custom-file)")
         p.add_argument("--seed", type=int, default=None,
-                       help="search seed (default: $TRADEOFF_SEED or 0)")
+                       help="search seed (default: $TRADEOFF_SEED or 0)" if searches else
+                       "kept for compatibility; has no effect, since no closed-form "
+                       "region depends on a seed")
 
     region = sub.add_parser("region", help="sample the boundary surface to CSV")
-    add_channel_flags(region, with_custom=False)
+    add_channel_flags(region, with_custom=False, searches=False)
     region.add_argument("--grid", type=int, default=101)
     region.add_argument("--out", default="region.csv")
     region.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None)
 
     member = sub.add_parser("member", help="test a rate triple for membership")
-    add_channel_flags(member, with_custom=False)
+    add_channel_flags(member, with_custom=False, searches=False)
     member.add_argument("-R", type=float, required=True, dest="rate_r")
     member.add_argument("-P", type=float, required=True, dest="rate_p")
     member.add_argument("-S", type=float, required=True, dest="rate_s")

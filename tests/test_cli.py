@@ -66,6 +66,17 @@ class TestRegion:
             assert res.returncode == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_seed_has_no_effect(self, tmp_path):
+        # the closed-form regions take no seed; --seed is accepted and ignored
+        paths = [tmp_path / "seed0.csv", tmp_path / "seed7.csv"]
+        for p, seed in zip(paths, ("0", "7")):
+            res = run_cli("region", "--channel", "dephasing", "--p", "0.2",
+                          "--grid", "41", "--out", str(p), "--seed", seed)
+            assert res.returncode == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        for command in ("region", "member"):
+            assert "no effect" in " ".join(run_cli(command, "--help").stdout.split())
+
     def test_plot_script_emitted(self, tmp_path):
         out = tmp_path / "er.csv"
         res = run_cli("region", "--channel", "erasure", "--eps", "0.25",

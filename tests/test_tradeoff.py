@@ -1,12 +1,18 @@
+import warnings
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from privcap import tradeoff
 from privcap import (
     CqEnsemble,
     SearchConfig,
     TradeoffWeights,
+    additivity_gap,
     antidegradable_value,
     cq_tradeoff_f,
     evaluate_ensemble,
@@ -31,10 +37,14 @@ from privcap import (
 )
 from privcap.entropy import binary_entropy
 from privcap.search import coordinate_ascent
-from privcap.tradeoff import _bundle, _eigvals_psd, _expect, _ParamSpace
+from privcap.tradeoff import _bundle, _eigvals_psd, _expect, _ParamSpace, _ProbeObjective
 from conftest import random_density, random_ensemble
 
 FAST = SearchConfig(seed=3, restarts=8, iters=200)
+
+ERASURE = make_erasure(0.25)
+PROBE_CHANNELS = (make_dephasing(0.2), ERASURE, make_cloning(10),
+                  tensor_channels(ERASURE, ERASURE))
 
 
 def basis_state(d, i):
@@ -381,10 +391,7 @@ class TestInternals:
 
     def test_batched_bundle_rows_are_exact(self, rng):
         # every row of a batched evaluation is bitwise its evaluation alone
-        erasure = make_erasure(0.25)
-        channels = (make_dephasing(0.2), erasure, make_cloning(10),
-                    tensor_channels(erasure, erasure))
-        for ch in channels:
+        for ch in PROBE_CHANNELS:
             d = ch.dim_in
             for _ in range(4):
                 rows = int(rng.integers(1, 7))
@@ -401,6 +408,79 @@ class TestInternals:
                     for f in fields(batch):
                         assert np.array_equal(getattr(batch, f.name)[r],
                                               getattr(alone, f.name)[0]), f.name
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_incremental_rows_are_exact(self, data):
+        # each call's rows are probes of 0-2 coordinates from a row of any
+        # earlier call; every field of every row is bitwise the full evaluation
+        ch = data.draw(st.sampled_from(PROBE_CHANNELS), label="channel")
+        nx, ny = data.draw(st.integers(1, 4), label="nx"), data.draw(st.integers(1, 4), label="ny")
+        space = _ParamSpace(nx, ny, ch.dim_in, mixed=data.draw(st.booleans(), label="mixed"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        theta0 = rng.uniform(-1.0, 1.0, size=space.size)
+        if nx > 1 and data.draw(st.booleans(), label="zero-weight x"):
+            theta0[:ny] = 0.0
+        objective = _ProbeObjective(ch.kraus_stack, space, lambda ev: ev)
+        points = [theta0]
+        stack = theta0[None]
+        for _ in range(data.draw(st.integers(1, 5), label="calls")):
+            got = objective(stack)
+            want = _bundle(ch.kraus_stack, *space.decode(stack))
+            for f in fields(want):
+                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+            points.extend(stack)
+            rows = []
+            for _ in range(data.draw(st.integers(1, 8), label="rows")):
+                row = points[data.draw(st.integers(0, len(points) - 1), label="from")].copy()
+                for _ in range(data.draw(st.integers(0, 2), label="changes")):
+                    if data.draw(st.booleans(), label="probability"):
+                        i = data.draw(st.integers(0, space.nb - 1), label="coordinate")
+                    else:
+                        i = data.draw(st.integers(space.nb, space.size - 1), label="coordinate")
+                    row[i] += data.draw(st.sampled_from((0.35, -0.35, 0.3, -0.3, 0.0375)))
+                rows.append(row)
+            stack = np.array(rows)
+
+    def test_incremental_search_is_exact(self, monkeypatch):
+        # the searches, and every ascent of every restart in them, return what
+        # evaluating every branch of every probe returns
+        class EveryBranch:
+            def __init__(self, kstack, space, combine):
+                self.kstack, self.space, self.combine = kstack, space, combine
+
+            def __call__(self, theta):
+                return self.combine(_bundle(self.kstack, *self.space.decode(theta)))
+
+        out = []
+
+        def recorded(*args, **kwargs):
+            value, theta, used = coordinate_ascent(*args, **kwargs)
+            out.extend((repr(value), theta.tobytes(), used))
+            return value, theta, used
+
+        monkeypatch.setattr(tradeoff, "coordinate_ascent", recorded)
+        calls = (partial(maximize_p, make_cloning(10), TradeoffWeights(1.0, 0.0)),
+                 partial(maximize_p, make_dephasing(0.2), TradeoffWeights(0.5, 2.0)),
+                 partial(holevo_capacity, make_dephasing(1.0)),
+                 partial(additivity_gap, ERASURE, TradeoffWeights(1.0, 0.0)))
+
+        def run():
+            out.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for seed in range(3):
+                    for call in calls:
+                        got = call(SearchConfig(seed=seed, restarts=6, iters=40))
+                        value, ens = got if isinstance(got, tuple) else (got, None)
+                        out.append(repr(value))
+                        if ens is not None:
+                            out.extend((ens.probs.tobytes(), ens.states.tobytes()))
+            return list(out)
+
+        incremental = run()
+        monkeypatch.setattr(tradeoff, "_ProbeObjective", EveryBranch)
+        assert run() == incremental
 
     def test_speculative_ascent_is_one_probe_at_a_time(self, rng):
         # probes evaluated ahead in batches leave value, point and count of the
