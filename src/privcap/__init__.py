@@ -2,14 +2,9 @@
 and secret key over small quantum channels."""
 
 from .channels import (
-    EvolveResult,
-    Isometry,
     KrausChannel,
     channel_document,
-    evolve,
     is_antidegradable_label,
-    is_degradable_label,
-    isometric_extension,
     load_channel,
     make_cloning,
     make_dephasing,
@@ -17,25 +12,11 @@ from .channels import (
     make_identity,
     tensor_channels,
 )
-from .entropy import (
-    binary_entropy,
-    cq_conditional_entropy,
-    entropy_from_eigenvalues,
-    mutual_information,
-    shannon_entropy,
-    von_neumann_entropy,
-)
-from .linalg import (
-    dag,
-    hermitian_eigenvalues,
-    partial_trace,
-    tensor_product,
-    validate_density,
-)
+from .entropy import binary_entropy, entropy_from_eigenvalues
+from .linalg import dag, tensor_product
 from .regions import (
     BoundTriple,
     BoundaryFamily,
-    Halfspace,
     MembershipResult,
     ParetoPoint,
     RateTriple,
@@ -54,9 +35,7 @@ from .regions import (
     membership,
     pareto_point,
     sample_boundary,
-    translated_region,
     unit_matrix_inverse_check,
-    unit_resource_region,
 )
 from .tradeoff import (
     CqEnsemble,

@@ -1,20 +1,19 @@
-"""Channel constructors, isometric extensions, and joint output/environment evolution.
+"""Kraus channels: constructors, JSON documents, tensoring, and the channel action.
 
-A channel is a list of Kraus operators A_k with sum_k A_k† A_k = I.  The
-isometric extension V = sum_k A_k ⊗ |k⟩ sends the input to the joint
-output/environment space with the output (Bob) as the most significant
-factor; tracing out the output gives the map to the environment (Eve).
+A channel is a list of Kraus operators A_k with sum_k A_k† A_k = I.
+``branch_outputs`` is its one action on a stack of inputs: the output
+(Bob) state sum_k A_k rho A_k† and the complementary environment (Eve)
+state rho_e[k, l] = Tr(A_k rho A_l†), whose basis is the Kraus index.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import dag, partial_trace, tensor_product
+from .linalg import dag, tensor_product
 
 KRAUS_COMPLETENESS_TOL = 1e-9
 
@@ -84,32 +83,6 @@ def branch_outputs(kraus_stack: np.ndarray, states: np.ndarray):
     return rho_b, rho_e
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """An isometry V : input -> output ⊗ environment with V†V = I."""
-
-    dim_in: int
-    dim_b: int
-    dim_e: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.matrix, dtype=complex)
-        if v.shape != (self.dim_b * self.dim_e, self.dim_in):
-            raise ValueError(f"isometry shape {v.shape} inconsistent with dims")
-        dev = float(np.abs(dag(v) @ v - np.eye(self.dim_in)).max())
-        if dev > KRAUS_COMPLETENESS_TOL:
-            raise ValueError(f"V†V deviates from identity by {dev:.3e}")
-        v.setflags(write=False)
-        object.__setattr__(self, "matrix", v)
-
-
-class EvolveResult(NamedTuple):
-    rho_b: np.ndarray
-    rho_e: np.ndarray
-    rho_be: np.ndarray
-
-
 def make_dephasing(p: float) -> KrausChannel:
     """Qubit dephasing channel that applies Z with probability p/2.
 
@@ -173,43 +146,10 @@ def make_identity(dim: int = 2) -> KrausChannel:
     return KrausChannel(dim, dim, (np.eye(dim, dtype=complex),), label="custom")
 
 
-def isometric_extension(ch: KrausChannel) -> Isometry:
-    """V = sum_k A_k ⊗ |k⟩ with environment dimension = number of Kraus operators."""
-    k = ch.num_kraus
-    v = np.zeros((ch.dim_out * k, ch.dim_in), dtype=complex)
-    for idx, a in enumerate(ch.kraus):
-        e = np.zeros((k, 1), dtype=complex)
-        e[idx, 0] = 1.0
-        v += tensor_product(a, e)
-    return Isometry(ch.dim_in, ch.dim_out, k, v)
-
-
-def evolve(ch: KrausChannel, rho_in: np.ndarray) -> EvolveResult:
-    """Joint evolution: rho_BE = V rho V†, with the reduced output and environment states."""
-    rho_in = np.asarray(rho_in, dtype=complex)
-    if rho_in.shape != (ch.dim_in, ch.dim_in):
-        raise ValueError(f"input shape {rho_in.shape}, expected ({ch.dim_in}, {ch.dim_in})")
-    v = isometric_extension(ch).matrix
-    rho_be = v @ rho_in @ dag(v)
-    dims = [ch.dim_out, ch.num_kraus]
-    rho_b = partial_trace(rho_be, dims, keep={0})
-    rho_e = partial_trace(rho_be, dims, keep={1})
-    return EvolveResult(rho_b, rho_e, rho_be)
-
-
 def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     """Parallel use of two channels; Kraus set {A_i ⊗ B_j} with i most significant."""
     kraus = tuple(tensor_product(ai, bj) for ai in a.kraus for bj in b.kraus)
     return KrausChannel(a.dim_in * b.dim_in, a.dim_out * b.dim_out, kraus, label="custom")
-
-
-def is_degradable_label(ch: KrausChannel) -> bool:
-    """Trusted constructor label: dephasing and cloning always, erasure iff eps <= 1/2."""
-    if ch.label in ("dephasing", "cloning"):
-        return True
-    if ch.label == "erasure":
-        return ch.params[0] <= 0.5
-    return False
 
 
 def is_antidegradable_label(ch: KrausChannel) -> bool:

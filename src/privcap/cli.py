@@ -74,8 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_channel_flags(formula)
     formula.add_argument("--lambda", dest="lam", type=float, default=0.0)
     formula.add_argument("--mu", type=float, default=0.0)
-    formula.add_argument("--restarts", type=int, default=None)
-    formula.add_argument("--iters", type=int, default=None)
+    formula.add_argument("--restarts", type=int, default=None,
+                         help=f"search restarts (default {SearchConfig.restarts})")
+    formula.add_argument("--iters", type=int, default=None,
+                         help="per-restart budget: one evaluation of the start, then "
+                         f"at most 2*ITERS coordinate probes (default {SearchConfig.iters})")
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("--suite", required=True, choices=SUITE_NAMES)

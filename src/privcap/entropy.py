@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, partial_trace
-
 WEIGHT_FLOOR = 1e-12
-PROB_SUM_TOL = 1e-9
 PROB_RANGE_TOL = 1e-12
 
 
@@ -29,49 +26,3 @@ def binary_entropy(p: float) -> float:
         raise ValueError(f"binary_entropy argument {p} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     return float(entropy_from_eigenvalues(np.array([p, 1.0 - p])))
-
-
-def check_prob_weights(weights) -> np.ndarray:
-    """Validate a probability vector (entries in [0,1] up to 1e-12, sum 1 up to 1e-9)."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.size == 0:
-        raise ValueError("empty probability vector")
-    if w.min() < -PROB_RANGE_TOL or w.max() > 1.0 + PROB_RANGE_TOL:
-        raise ValueError(f"weights outside [0, 1]: min {w.min():.3e}, max {w.max():.3e}")
-    s = float(w.sum())
-    if abs(s - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"weights sum to {s}, expected 1 within {PROB_SUM_TOL:.1e}")
-    return np.clip(w, 0.0, 1.0)
-
-
-def shannon_entropy(weights) -> float:
-    w = check_prob_weights(weights)
-    return float(entropy_from_eigenvalues(w))
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """H(rho) = -Tr rho log2 rho, via the eigenvalue spectrum."""
-    w = hermitian_eigenvalues(rho)
-    return float(entropy_from_eigenvalues(np.clip(w, 0.0, None)))
-
-
-def mutual_information(rho_ab: np.ndarray, dims) -> float:
-    """I(A;B) = H(A) + H(B) - H(AB) for a bipartite state with dims (dA, dB)."""
-    da, db = (int(d) for d in dims)
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    if rho_ab.shape != (da * db, da * db):
-        raise ValueError(f"state shape {rho_ab.shape} does not match dims {(da, db)}")
-    rho_a = partial_trace(rho_ab, [da, db], keep={0})
-    rho_b = partial_trace(rho_ab, [da, db], keep={1})
-    return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho_ab)
-
-
-def cq_conditional_entropy(cond_states) -> float:
-    """H(B|X) = sum_x p(x) H(rho_x) for a classical X indexing the branches.
-
-    ``cond_states`` is a sequence of (weight, density matrix) pairs whose
-    weights form a probability distribution.
-    """
-    pairs = list(cond_states)
-    check_prob_weights([p for p, _ in pairs])
-    return float(sum(p * von_neumann_entropy(rho) for p, rho in pairs if p > WEIGHT_FLOOR))

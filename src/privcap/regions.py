@@ -1,6 +1,6 @@
-"""Region geometry: the unit resource cone, its translations, closed-form
-boundary surfaces for the solved channel families, membership tests,
-Pareto sampling, and two-copy additivity checks.
+"""Region geometry: the unit protocol matrix, the coding corner of an
+ensemble, closed-form boundary surfaces for the solved channel families,
+membership tests, Pareto sampling, and two-copy additivity checks.
 
 Every region here is a union over a single boundary parameter of
 translated copies of the unit cone {R+P <= 0, P+S <= 0, R+P+S <= 0};
@@ -25,7 +25,6 @@ from .tradeoff import (
     TradeoffWeights,
     derived_config,
     maximize_p,
-    region_quantities,
     tensor_ensembles,
 )
 
@@ -43,18 +42,6 @@ class RateTriple:
     r: float
     p: float
     s: float
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """Constraint normal . (R, P, S) <= bound."""
-
-    normal: tuple
-    bound: float
-
-    def holds(self, point: RateTriple, tol: float = MEMBERSHIP_TOL) -> bool:
-        n = self.normal
-        return n[0] * point.r + n[1] * point.p + n[2] * point.s <= self.bound + tol
 
 
 @dataclass(frozen=True)
@@ -116,15 +103,6 @@ def unit_matrix_inverse_check() -> bool:
     return matrices_are_inverse(UNIT_MATRIX, UNIT_MATRIX_INVERSE)
 
 
-def unit_resource_region() -> list[Halfspace]:
-    """{R+P <= 0, P+S <= 0, R+P+S <= 0}: the cone of the three unit protocols."""
-    return [
-        Halfspace((1, 1, 0), 0.0),
-        Halfspace((0, 1, 1), 0.0),
-        Halfspace((1, 1, 1), 0.0),
-    ]
-
-
 def corner_from_cq(ev: CqEvaluation) -> RateTriple:
     """The coding-corner rate triple (I(X;B), I(Y;B|X), -I(Y;E|X))."""
     return RateTriple(
@@ -132,16 +110,6 @@ def corner_from_cq(ev: CqEvaluation) -> RateTriple:
         p=ev.h_b_x - ev.h_b_xy,
         s=-(ev.h_e_x - ev.h_e_xy),
     )
-
-
-def translated_region(ev: CqEvaluation) -> list[Halfspace]:
-    """The unit cone translated by the corner triple of one ensemble."""
-    q = region_quantities(ev)
-    return [
-        Halfspace((1, 1, 0), q.rp),
-        Halfspace((0, 1, 1), q.ps),
-        Halfspace((1, 1, 1), q.rps),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 trade-off objectives with their ensemble-search maximizers.
 
 An ensemble assigns a joint probability p(x, y) and a channel-input
-density matrix rho_{x,y} to each pair of classical indices.  Sending
-every branch through the channel's isometric extension yields the
-conditional output (Bob) and environment (Eve) states; all entropic
-quantities are evaluated from those.  Because X and Y are classical,
+density matrix rho_{x,y} to each pair of classical indices.  The Kraus
+action ``channels.branch_outputs`` sends every branch to its conditional
+output (Bob) state sum_k A_k rho A_k† and environment (Eve) state
+rho_e[k, l] = Tr(A_k rho A_l†); all entropic quantities are evaluated
+from those.  Because X and Y are classical,
 conditional entropies are probability-weighted sums of branch entropies.
 
 The searches are deterministic given the configuration seed: restart
@@ -65,9 +66,12 @@ class TradeoffWeights:
 class SearchConfig:
     """Ensemble-search configuration: {seed, restarts, iters, nx, ny}.
 
-    ``iters`` is the per-restart refinement budget in coordinate probes
-    (each probe costs up to two objective evaluations).  ``nx``/``ny``
-    cap the classical alphabet sizes; None means dim_in**2.
+    ``iters`` sets the per-restart refinement budget: each restart
+    evaluates its start once and then takes at most ``2 * iters``
+    coordinate probes (one candidate ensemble each), split over three
+    ``coordinate_ascent`` passes.  Speculative candidates that a batched
+    call discards are not counted.  ``nx``/``ny`` cap the classical
+    alphabet sizes; None means dim_in**2.
     """
 
     seed: int = 0

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from privcap import (
+    CqEnsemble,
     binary_entropy,
-    cq_conditional_entropy,
-    mutual_information,
-    partial_trace,
-    shannon_entropy,
+    entropy_from_eigenvalues,
+    evaluate_ensemble,
+    make_identity,
     tensor_product,
-    von_neumann_entropy,
 )
+from privcap.entropy import WEIGHT_FLOOR
 from conftest import random_density, random_pure_density, random_unitary
+from oracles import partial_trace, von_neumann_entropy
 
 
 def max_correlated(d):
@@ -43,18 +44,28 @@ class TestBinaryEntropy:
 
 
 class TestShannonEntropy:
+    """entropy_from_eigenvalues, the kernel every evaluation takes its entropies from."""
+
     def test_uniform_four(self):
-        assert shannon_entropy([0.25] * 4) == pytest.approx(2.0, abs=1e-12)
+        assert entropy_from_eigenvalues([0.25] * 4) == pytest.approx(2.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
+        assert entropy_from_eigenvalues([1.0, 0.0, 0.0]) == 0.0
 
     def test_thirds(self):
-        assert shannon_entropy([1 / 3] * 3) == pytest.approx(np.log2(3), abs=1e-12)
+        assert entropy_from_eigenvalues([1 / 3] * 3) == pytest.approx(np.log2(3), abs=1e-12)
 
-    def test_invalid_distribution(self):
-        with pytest.raises(ValueError):
-            shannon_entropy([0.7, 0.7])
+    def test_weights_at_floor_contribute_zero(self):
+        for tiny in (WEIGHT_FLOOR, WEIGHT_FLOOR / 2, 0.0, -WEIGHT_FLOOR):
+            assert entropy_from_eigenvalues([0.5, 0.5, tiny]) == 1.0
+
+    def test_rows_give_per_row_sums(self):
+        rows = np.array([[0.25] * 4, [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
+        got = entropy_from_eigenvalues(rows)
+        assert got.shape == (3,)
+        for row, h in zip(rows, got):
+            assert h == entropy_from_eigenvalues(row)
+        assert got == pytest.approx([2.0, 0.0, 1.0], abs=1e-12)
 
 
 class TestVonNeumann:
@@ -86,33 +97,33 @@ class TestVonNeumann:
 class TestMutualInformation:
     def test_product_state(self, rng):
         rho = tensor_product(random_density(rng, 2), random_density(rng, 3))
-        assert mutual_information(rho, (2, 3)) == pytest.approx(0.0, abs=1e-9)
+        assert mi(rho, [2, 3], {0}, {1}) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_pair(self):
-        assert mutual_information(bell_state(), (2, 2)) == pytest.approx(2.0, abs=1e-9)
+        assert mi(bell_state(), [2, 2], {0}, {1}) == pytest.approx(2.0, abs=1e-9)
 
     def test_max_correlated_qubits(self):
-        assert mutual_information(max_correlated(2), (2, 2)) == pytest.approx(1.0, abs=1e-9)
+        assert mi(max_correlated(2), [2, 2], {0}, {1}) == pytest.approx(1.0, abs=1e-9)
+
+
+def h_b_given_x(weights, states):
+    """The library's H(B|X) of a noiseless channel, one branch (ny = 1) per x."""
+    ens = CqEnsemble(np.array(weights, dtype=float)[:, None], np.array(states)[:, None])
+    return evaluate_ensemble(make_identity(ens.dim), ens).h_b_x
 
 
 class TestCqConditionalEntropy:
     def test_single_branch(self, rng):
         rho = random_density(rng, 2)
-        assert cq_conditional_entropy([(1.0, rho)]) == pytest.approx(
-            von_neumann_entropy(rho), abs=1e-12
-        )
+        assert h_b_given_x([1.0], [rho]) == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
 
     def test_two_pure_branches(self, rng):
-        branches = [(0.4, random_pure_density(rng, 2)), (0.6, random_pure_density(rng, 2))]
-        assert cq_conditional_entropy(branches) == pytest.approx(0.0, abs=1e-9)
+        states = [random_pure_density(rng, 2), random_pure_density(rng, 2)]
+        assert h_b_given_x([0.4, 0.6], states) == pytest.approx(0.0, abs=1e-9)
 
     def test_weighted_sum(self):
-        branches = [(0.5, np.diag([1.0, 0.0]).astype(complex)), (0.5, np.eye(2) / 2)]
-        assert cq_conditional_entropy(branches) == pytest.approx(0.5, abs=1e-12)
-
-    def test_invalid_weights(self, rng):
-        with pytest.raises(ValueError):
-            cq_conditional_entropy([(0.7, random_density(rng, 2))])
+        states = [np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex) / 2]
+        assert h_b_given_x([0.5, 0.5], states) == pytest.approx(0.5, abs=1e-12)
 
 
 def cmi(rho, dims, a, b, c):

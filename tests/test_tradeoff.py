@@ -22,9 +22,7 @@ from privcap import (
     make_erasure,
     make_identity,
     maximize_p,
-    mutual_information,
     objective_p,
-    partial_trace,
     pauli_symmetrize,
     private_information,
     public_private_tradeoff,
@@ -33,12 +31,12 @@ from privcap import (
     tensor_channels,
     tensor_ensembles,
     tensor_product,
-    von_neumann_entropy,
 )
 from privcap.entropy import binary_entropy
 from privcap.search import coordinate_ascent
 from privcap.tradeoff import _bundle, _eigvals_psd, _expect, _ParamSpace, _ProbeObjective
 from conftest import random_density, random_ensemble
+from oracles import partial_trace, von_neumann_entropy
 
 FAST = SearchConfig(seed=3, restarts=8, iters=200)
 
