@@ -8,6 +8,8 @@ state rho_e[k, l] = Tr(A_k rho A_l†), whose basis is the Kraus index.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,8 +50,11 @@ class KrausChannel:
             raise ValueError(
                 f"Kraus completeness violated: max |sum A†A - I| = {deficit:.3e}"
             )
+        params = tuple(float(p) for p in self.params)
+        if not all(math.isfinite(p) for p in params):
+            raise ValueError(f"channel params must be finite, got {params}")
         object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", params)
         stack = np.stack(ops)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
@@ -180,13 +185,12 @@ def load_channel(doc: dict) -> KrausChannel:
     if not isinstance(doc, dict):
         raise ValueError("channel document must be a JSON object")
     try:
-        dim_in = int(doc["dim_in"])
-        dim_out = int(doc["dim_out"])
-        raw = doc["kraus"]
+        dim_in, dim_out, raw = doc["dim_in"], doc["dim_out"], doc["kraus"]
     except KeyError as exc:
         raise ValueError(f"channel document missing required field {exc}") from exc
-    if dim_in <= 0 or dim_out <= 0:
-        raise ValueError("channel dimensions must be positive")
+    for name, dim in (("dim_in", dim_in), ("dim_out", dim_out)):
+        if type(dim) is not int or dim <= 0:
+            raise ValueError(f"'{name}' must be a positive integer, got {dim!r}")
     if not isinstance(raw, list) or not raw:
         raise ValueError("'kraus' must be a non-empty list of matrices")
     ops = []
@@ -204,8 +208,13 @@ def load_channel(doc: dict) -> KrausChannel:
             )
         ops.append(arr)
     label = str(doc.get("label", "custom"))
-    params = tuple(float(p) for p in doc.get("params", ()))
-    return KrausChannel(dim_in, dim_out, tuple(ops), label=label, params=params)
+    params = doc.get("params", [])
+    # false for NaN, ±inf and integers beyond the float range
+    if not isinstance(params, list) or not all(
+        type(p) in (int, float) and abs(p) <= sys.float_info.max for p in params
+    ):
+        raise ValueError(f"'params' must be a list of finite reals, got {params!r}")
+    return KrausChannel(dim_in, dim_out, tuple(ops), label=label, params=tuple(params))
 
 
 def channel_document(ch: KrausChannel) -> dict:

@@ -26,7 +26,15 @@ from .regions import (
 from .tradeoff import SearchConfig, TradeoffWeights, maximize_p
 from .verify import SUITE_NAMES, SUITES, run_suite
 
-_CLOSED_FORM_CHANNELS = ("dephasing", "erasure", "cloning", "eb")
+# --channel selector -> (parameter flag, channel constructor, closed-form boundary family)
+_CHANNELS = {
+    "dephasing": ("p", make_dephasing, dephasing_family),
+    "erasure": ("eps", make_erasure, erasure_family),
+    "cloning": ("n", make_cloning, cloning_family),
+    # canonical entanglement-breaking instance: the completely
+    # dephasing channel, which carries exactly one classical bit
+    "eb": (None, lambda _: make_dephasing(1.0), lambda _: eb_family(1.0)),
+}
 # a search value above the closed-form maximum by more than this is a bug
 _ABOVE_CLOSED_FORM_TOL = 1e-6
 _SUITE_FLAGS = ("p", "eps")
@@ -46,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_channel_flags(p, with_custom=True, searches=True):
-        choices = list(_CLOSED_FORM_CHANNELS) + (["custom-file"] if with_custom else [])
+        choices = list(_CHANNELS) + (["custom-file"] if with_custom else [])
         p.add_argument("--channel", required=True, choices=choices)
         p.add_argument("--p", type=float, help="dephasing probability")
         p.add_argument("--eps", type=float, help="erasure probability")
@@ -108,35 +116,22 @@ def _require(args, flag: str):
     return val
 
 
+def _param(args):
+    """The value of the channel's parameter flag (None for eb)."""
+    flag = _CHANNELS[args.channel][0]
+    return _require(args, flag) if flag else None
+
+
 def _family_of(args):
     """Boundary family (closed-form channels only)."""
-    if args.channel == "dephasing":
-        return dephasing_family(_require(args, "p"))
-    if args.channel == "erasure":
-        return erasure_family(_require(args, "eps"))
-    if args.channel == "cloning":
-        return cloning_family(_require(args, "n"))
-    if args.channel == "eb":
-        # canonical entanglement-breaking instance: the completely
-        # dephasing channel, which carries exactly one classical bit
-        return eb_family(1.0)
-    raise ValueError(f"no closed-form boundary for channel '{args.channel}'")
+    return _CHANNELS[args.channel][2](_param(args))
 
 
 def _channel_of(args):
-    if args.channel == "dephasing":
-        return make_dephasing(_require(args, "p"))
-    if args.channel == "erasure":
-        return make_erasure(_require(args, "eps"))
-    if args.channel == "cloning":
-        return make_cloning(_require(args, "n"))
-    if args.channel == "eb":
-        return make_dephasing(1.0)
     if args.channel == "custom-file":
-        path = _require(args, "file")
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_require(args, "file"), "r", encoding="utf-8") as fh:
             return load_channel(json.load(fh))
-    raise ValueError(f"unknown channel '{args.channel}'")
+    return _CHANNELS[args.channel][1](_param(args))
 
 
 _PLOT_TEMPLATE = """# gnuplot script: trade-off surface for {label}
@@ -211,7 +206,7 @@ def cmd_formula(args) -> int:
         "param": None,
         "gap": None,
     }
-    if args.channel in _CLOSED_FORM_CHANNELS:
+    if args.channel in _CHANNELS:
         pp = pareto_point(_family_of(args), w)
         record["closed_form_value"] = pp.value
         record["param"] = pp.param

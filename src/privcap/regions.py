@@ -31,6 +31,7 @@ from .tradeoff import (
 MEMBERSHIP_TOL = 1e-9
 NEAR_MISS = 1e-3
 GOLDEN_TOL = 1e-9
+PARETO_GRID = 33
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -206,10 +207,7 @@ def sample_boundary(family: BoundaryFamily, grid_size: int) -> list[BoundTriple]
     """BoundTriples at uniformly spaced parameters over the family domain."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    if family.hi == family.lo:
-        return [family.fn(family.lo) for _ in range(grid_size)]
-    params = np.linspace(family.lo, family.hi, grid_size)
-    return [family.fn(float(t)) for t in params]
+    return [family.fn(float(t)) for t in np.linspace(family.lo, family.hi, grid_size)]
 
 
 def _violations(b: BoundTriple, pt: RateTriple):
@@ -243,12 +241,8 @@ def membership(family: BoundaryFamily, point, grid_size: int = 1001) -> Membersh
     for name, rate in (("R", pt.r), ("P", pt.p), ("S", pt.s)):
         if not math.isfinite(rate):
             raise ValueError(f"rate {name} must be finite, got {rate}")
-    if family.hi == family.lo:
-        params = [family.lo]
-    else:
-        params = np.linspace(family.lo, family.hi, grid_size)
-    (worst, t_best, name), inside = _scan(family, params, pt)
-    if not inside and worst < NEAR_MISS and family.hi > family.lo:
+    (worst, t_best, name), inside = _scan(family, np.linspace(family.lo, family.hi, grid_size), pt)
+    if not inside and worst < NEAR_MISS:
         span = (family.hi - family.lo) / (grid_size - 1)
         lo = max(family.lo, t_best - span)
         hi = min(family.hi, t_best + span)
@@ -260,13 +254,12 @@ def membership(family: BoundaryFamily, point, grid_size: int = 1001) -> Membersh
     return MembershipResult(False, None, name, worst)
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float,
-                tol: float = GOLDEN_TOL):
+def _golden_max(fn: Callable[[float], float], lo: float, hi: float):
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -279,8 +272,7 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float,
     return t, fn(t)
 
 
-def pareto_point(family: BoundaryFamily, w: TradeoffWeights,
-                 grid_size: int = 33) -> ParetoPoint:
+def pareto_point(family: BoundaryFamily, w: TradeoffWeights) -> ParetoPoint:
     """Maximize b_rp + lam*b_ps + mu*b_rps over the boundary parameter.
 
     A coarse grid brackets the maximum (guarding the unimodality
@@ -291,14 +283,11 @@ def pareto_point(family: BoundaryFamily, w: TradeoffWeights,
         b = family.fn(t)
         return b.b_rp + w.lam * b.b_ps + w.mu * b.b_rps
 
-    if family.hi == family.lo:
-        t = family.lo
-        return ParetoPoint(weighted(t), t, family.fn(t))
-    params = np.linspace(family.lo, family.hi, grid_size)
+    params = np.linspace(family.lo, family.hi, PARETO_GRID)
     vals = [weighted(float(t)) for t in params]
     k = int(np.argmax(vals))
     lo = params[max(k - 1, 0)]
-    hi = params[min(k + 1, grid_size - 1)]
+    hi = params[min(k + 1, PARETO_GRID - 1)]
     t, v = _golden_max(weighted, float(lo), float(hi))
     if vals[k] > v:
         t, v = float(params[k]), vals[k]

@@ -18,26 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .channels import KrausChannel, branch_outputs, warn_if_not_antidegradable
 from .entropy import entropy_from_eigenvalues
-from .linalg import tensor_product
 from .search import XorShift64Star, coordinate_ascent, derive_seeds
 
 PROB_FLOOR = 1e-15
-
-# Probes per batched objective call in the searches (see coordinate_ascent).
-# The objective recomputes only the branches a probe changed, so an extra
-# row costs little more than its share of the mixing layer, and the rows a
-# wrong guess discards cost less than the calls a lookahead of 1 makes.
-# Lookahead 8 against 1, default SearchConfig, medians of 6 interleaved
-# runs on a 2-core x86-64 machine: maximize_p on 1->10 cloning 5.7 s
-# against 7.4 s, additivity_gap on erasure 0.25 5.5 s against 8.1 s.
-LOOKAHEAD = 8
 
 _PAULI = (
     np.eye(2, dtype=complex),
@@ -132,26 +121,17 @@ class CqEnsemble:
 
 @dataclass(frozen=True)
 class CqEvaluation:
-    """All conditional/averaged output and environment states of an ensemble
-    through a channel, together with the entropies used by the region bounds
-    and the searches.
+    """The seven entropies of an ensemble through a channel from which the
+    region bounds and every search objective are formed.
 
-    Conditional states rho_b_x / rho_e_x are normalized; rows with
-    p(x) = 0 hold maximally mixed placeholders and carry zero weight.
-    h_in_x is the averaged input entropy sum_xy p(x, y) H(rho_{x,y}).
-    A batched evaluation (a search objective's stack of candidates)
-    carries a leading axis of one row per ensemble on every field, so its
-    entropies are (B,) arrays; ``evaluate_ensemble`` returns one ensemble
-    with float entropies.
+    For the output B and environment E: h_b = H(B), h_b_x = H(B|X),
+    h_b_xy = H(B|XY), and likewise h_e, h_e_x, h_e_xy.  h_in_x is the
+    averaged input entropy sum_xy p(x, y) H(rho_{x,y}).  A batched
+    evaluation (a search objective's stack of candidates) holds (B,)
+    arrays, one entry per ensemble; ``evaluate_ensemble`` returns one
+    ensemble with float entropies.
     """
 
-    probs: np.ndarray
-    rho_b_xy: np.ndarray
-    rho_e_xy: np.ndarray
-    rho_b_x: np.ndarray
-    rho_e_x: np.ndarray
-    rho_b: np.ndarray
-    rho_e: np.ndarray
     h_b: float | np.ndarray
     h_b_x: float | np.ndarray
     h_b_xy: float | np.ndarray
@@ -216,23 +196,23 @@ def _system(probs: np.ndarray, p_x: np.ndarray, by_xy: np.ndarray, h_xy: np.ndar
     """Mixing layer of one output system over B ensembles of one shape.
 
     ``probs`` is (B, nx, ny), ``p_x`` its sums over y, ``by_xy`` the
-    (B, nx, ny, d, d) branch states and ``h_xy`` their (B, nx*ny)
-    entropies.  Returns the conditional states per x, the average state,
-    and H, H(.|X) and H(.|XY).  Conditional states are normalized; where
-    p(x) = 0 they are maximally mixed placeholders of zero weight.  The
-    conditional and average states share one eigen-solve.
+    (B, nx*ny, d, d) branch states and ``h_xy`` their (B, nx*ny)
+    entropies.  Returns H, H(.|X) and H(.|XY).  Conditional states are
+    normalized; where p(x) = 0 they are maximally mixed placeholders of
+    zero weight.  The conditional and average states share one
+    eigen-solve.
     """
     rows, nx, ny = probs.shape
     d = by_xy.shape[-1]
-    summed = np.einsum("bxy,bxyij->bxij", probs, by_xy)
+    summed = np.einsum("bxy,bxyij->bxij", probs, by_xy.reshape(probs.shape + (d, d)))
     safe = p_x > PROB_FLOOR
     denom = np.where(safe, p_x, 1.0)[..., None, None]
     cond = np.where(safe[..., None, None], summed / denom, np.eye(d) / d)
     p_flat = probs.reshape(rows, nx * ny)
-    avg = _expect(p_flat, by_xy.reshape(rows, nx * ny, d, d))
+    avg = _expect(p_flat, by_xy)
     h = _entropies_psd(np.concatenate([cond, avg[:, None]], axis=1))
     h_x = _expect(np.where(safe, p_x, 0.0), h[:, :-1])
-    return cond, avg, h[:, -1], h_x, _expect(p_flat, h_xy)
+    return h[:, -1], h_x, _expect(p_flat, h_xy)
 
 
 def _mix(probs: np.ndarray, rho_b, rho_e, h_b_xy, h_e_xy, h_in_xy) -> CqEvaluation:
@@ -241,19 +221,10 @@ def _mix(probs: np.ndarray, rho_b, rho_e, h_b_xy, h_e_xy, h_in_xy) -> CqEvaluati
     ``probs`` is (B, nx, ny); the branch results are those of
     ``_branches`` by row and branch, (B, nx*ny, ...) and C-contiguous.
     """
-    rho_b_xy = rho_b.reshape(probs.shape + rho_b.shape[2:])
-    rho_e_xy = rho_e.reshape(probs.shape + rho_e.shape[2:])
     p_x = probs.sum(axis=2)
-    rho_b_x, rho_b_bar, h_b, h_b_x, h_b_xy = _system(probs, p_x, rho_b_xy, h_b_xy)
-    rho_e_x, rho_e_bar, h_e, h_e_x, h_e_xy = _system(probs, p_x, rho_e_xy, h_e_xy)
+    h_b, h_b_x, h_b_xy = _system(probs, p_x, rho_b, h_b_xy)
+    h_e, h_e_x, h_e_xy = _system(probs, p_x, rho_e, h_e_xy)
     return CqEvaluation(
-        probs=probs,
-        rho_b_xy=rho_b_xy,
-        rho_e_xy=rho_e_xy,
-        rho_b_x=rho_b_x,
-        rho_e_x=rho_e_x,
-        rho_b=rho_b_bar,
-        rho_e=rho_e_bar,
         h_b=h_b,
         h_b_x=h_b_x,
         h_b_xy=h_b_xy,
@@ -268,9 +239,9 @@ def _bundle(kstack: np.ndarray, probs: np.ndarray, states: np.ndarray) -> CqEval
     """Evaluate B ensembles of one alphabet shape at once.
 
     ``probs`` is (B, nx, ny) and ``states`` (B, nx*ny, d, d); every field
-    of the result carries the leading B axis, and each row equals the
-    evaluation of that ensemble alone, bit for bit.  This is the mixing
-    layer over every branch freshly evaluated.
+    of the result is a (B,) array, and each row equals the evaluation of
+    that ensemble alone, bit for bit.  This is the mixing layer over
+    every branch freshly evaluated.
     """
     rows, nb, d = states.shape[:3]
     fresh = _branches(kstack, states.reshape(rows * nb, d, d))
@@ -282,8 +253,7 @@ def evaluate_ensemble(ch: KrausChannel, ens: CqEnsemble) -> CqEvaluation:
     if ens.dim != ch.dim_in:
         raise ValueError(f"ensemble states have dim {ens.dim}, channel expects {ch.dim_in}")
     ev = _bundle(ch.kraus_stack, ens.probs[None], ens.states.reshape(1, -1, ens.dim, ens.dim))
-    rows = {f.name: getattr(ev, f.name)[0] for f in fields(ev)}
-    return CqEvaluation(**{k: v if v.ndim else float(v) for k, v in rows.items()})
+    return CqEvaluation(**{f.name: float(getattr(ev, f.name)[0]) for f in fields(ev)})
 
 
 def region_quantities(ev: CqEvaluation) -> RegionQuantities:
@@ -317,16 +287,11 @@ def pauli_symmetrize(ens: CqEnsemble) -> CqEnsemble:
 def tensor_ensembles(a: CqEnsemble, b: CqEnsemble) -> CqEnsemble:
     """Product ensemble for a product channel; indices of ``a`` are most significant."""
     probs = np.einsum("xy,uv->xuyv", a.probs, b.probs).reshape(a.nx * b.nx, a.ny * b.ny)
+    # axes (xa, xb, ya, yb, i, k, j, l): one complex product per entry, as in np.kron
+    states = (a.states[:, None, :, None, :, None, :, None]
+              * b.states[None, :, None, :, None, :, None, :])
     d = a.dim * b.dim
-    states = np.empty((a.nx * b.nx, a.ny * b.ny, d, d), dtype=complex)
-    for xa in range(a.nx):
-        for xb in range(b.nx):
-            for ya in range(a.ny):
-                for yb in range(b.ny):
-                    states[xa * b.nx + xb, ya * b.ny + yb] = tensor_product(
-                        a.states[xa, ya], b.states[xb, yb]
-                    )
-    return CqEnsemble(probs, states)
+    return CqEnsemble(probs, states.reshape(a.nx * b.nx, a.ny * b.ny, d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +467,7 @@ def _random_start(rng: XorShift64Star, d: int, nx: int, ny: int, space_mixed: bo
 
 
 def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
-                cfg: SearchConfig, *, mixed: bool = True, ny_forced: int | None = None,
+                cfg: SearchConfig | None, *, mixed: bool = True, ny_forced: int | None = None,
                 extra_starts=()):
     """Random-restart coordinate search over ensembles; deterministic by seed.
 
@@ -514,6 +479,7 @@ def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
 
     Returns (best value, best probs, best states, diagnostics dict).
     """
+    cfg = cfg or SearchConfig()
     d = ch.dim_in
     nx_max = cfg.nx if cfg.nx else d * d
     ny_max = ny_forced if ny_forced else (cfg.ny if cfg.ny else d * d)
@@ -523,7 +489,6 @@ def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
     budget = 2 * cfg.iters
     seeds = derive_seeds(cfg.seed, cfg.restarts)
     canonical = _canonical_starts(d, nx_max, ny_max, mixed)
-    ascend = partial(coordinate_ascent, lookahead=LOOKAHEAD)
 
     best_val = -math.inf
     best_probs = None
@@ -539,12 +504,12 @@ def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
         v0 = f(theta0[None])[0]
         budget_a = max(2 * space.nb, int(0.4 * budget))
         budget_a = min(budget_a, budget - 2)
-        v1, th1, used = ascend(
+        v1, th1, used = coordinate_ascent(
             f, theta0, v0, coords=range(space.nb), step=0.35, budget=budget_a
         )
         remaining = budget - used
-        v2, th2, used2 = ascend(f, th1, v1, step=0.3, budget=remaining // 2)
-        v3, th3, used3 = ascend(f, th2, v2, step=0.3, budget=remaining - used2)
+        v2, th2, used2 = coordinate_ascent(f, th1, v1, step=0.3, budget=remaining // 2)
+        v3, th3, used3 = coordinate_ascent(f, th2, v2, step=0.3, budget=remaining - used2)
         # still improving in the final stretch with the budget used up:
         # the refinement likely had not converged
         under_converged = bool(used2 + used3 >= remaining and v3 > v2 + 1e-12)
@@ -585,11 +550,9 @@ def maximize_p(ch: KrausChannel, w: TradeoffWeights, cfg: SearchConfig | None = 
     hold CqEnsembles used as additional warm starts before the seeded
     restarts.
     """
-    cfg = cfg or SearchConfig()
     extra = [(e.probs, e.states) for e in starts]
-    val, probs, states, diag = _run_search(
-        ch, lambda ev: objective_p(ev, w), cfg, mixed=True, extra_starts=extra
-    )
+    val, probs, states, diag = _run_search(ch, lambda ev: objective_p(ev, w), cfg,
+                                           extra_starts=extra)
     if diagnostics is not None:
         diagnostics.update(diag)
     nx, ny = probs.shape
@@ -597,22 +560,22 @@ def maximize_p(ch: KrausChannel, w: TradeoffWeights, cfg: SearchConfig | None = 
     return val, ens
 
 
+def _search_value(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
+                  cfg: SearchConfig | None, **kw) -> float:
+    """The best value of ``_run_search``."""
+    return _run_search(ch, combine, cfg, **kw)[0]
+
+
 def holevo_capacity(ch: KrausChannel, cfg: SearchConfig | None = None) -> float:
     """max I(X;B) over finite ensembles of pure input states."""
-    cfg = cfg or SearchConfig()
-    val, _, _, _ = _run_search(
-        ch, lambda ev: ev.h_b - ev.h_b_x, cfg, mixed=False, ny_forced=1
-    )
-    return val
+    return _search_value(ch, lambda ev: ev.h_b - ev.h_b_x, cfg, mixed=False, ny_forced=1)
 
 
 def private_information(ch: KrausChannel, cfg: SearchConfig | None = None) -> float:
     """max I(X;B) - I(X;E) over finite ensembles of mixed input states."""
-    cfg = cfg or SearchConfig()
-    val, _, _, _ = _run_search(
-        ch, lambda ev: (ev.h_b - ev.h_b_x) - (ev.h_e - ev.h_e_x), cfg, mixed=True, ny_forced=1
+    return _search_value(
+        ch, lambda ev: (ev.h_b - ev.h_b_x) - (ev.h_e - ev.h_e_x), cfg, ny_forced=1
     )
-    return val
 
 
 def cq_tradeoff_f(ch: KrausChannel, mu: float, cfg: SearchConfig | None = None) -> float:
@@ -623,13 +586,9 @@ def cq_tradeoff_f(ch: KrausChannel, mu: float, cfg: SearchConfig | None = None) 
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    cfg = cfg or SearchConfig()
-    val, _, _, _ = _run_search(
-        ch,
-        lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * (ev.h_b_x - ev.h_e_x),
-        cfg, mixed=True, ny_forced=1,
+    return _search_value(
+        ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * (ev.h_b_x - ev.h_e_x), cfg, ny_forced=1
     )
-    return val
 
 
 def public_private_tradeoff(ch: KrausChannel, mu: float,
@@ -637,12 +596,9 @@ def public_private_tradeoff(ch: KrausChannel, mu: float,
     """Public-private trade-off value P_mu = max I(X;B) + (1+mu)[I(Y;B|X) - I(Y;E|X)]."""
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    cfg = cfg or SearchConfig()
-    val, _, _, _ = _run_search(
-        ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * region_quantities(ev).ps,
-        cfg, mixed=True,
+    return _search_value(
+        ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * region_quantities(ev).ps, cfg
     )
-    return val
 
 
 def quantum_dynamic_d(ch: KrausChannel, w: TradeoffWeights,
@@ -657,7 +613,6 @@ def quantum_dynamic_d(ch: KrausChannel, w: TradeoffWeights,
     I(AX;B) = H(B) + sum_x p(x)[H(rho_x) - H(E)_x] and
     I(A>BX) = sum_x p(x)[H(B)_x - H(E)_x].
     """
-    cfg = cfg or SearchConfig()
 
     def combine(ev: CqEvaluation) -> np.ndarray:
         return (
@@ -666,8 +621,7 @@ def quantum_dynamic_d(ch: KrausChannel, w: TradeoffWeights,
             + w.mu * (ev.h_b - ev.h_e_x)
         )
 
-    val, _, _, _ = _run_search(ch, combine, cfg, mixed=True, ny_forced=1)
-    return val
+    return _search_value(ch, combine, cfg, ny_forced=1)
 
 
 def antidegradable_value(ch: KrausChannel, w: TradeoffWeights, holevo: float) -> float:

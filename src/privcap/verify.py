@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import make_dephasing, make_erasure
+from .entropy import binary_entropy
 from .regions import additivity_gap, erasure_bounds, pareto_point, erasure_family, \
     unit_matrix_inverse_check
 from .search import XorShift64Star
@@ -30,13 +31,16 @@ from .tradeoff import (
 )
 
 
-def _random_qubit_ensemble(rng: XorShift64Star, nx: int = 2, ny: int = 2) -> CqEnsemble:
-    nb = nx * ny
-    raw = 0.1 + rng.uniforms(nb)
-    probs = (raw / raw.sum()).reshape(nx, ny)
-    states = np.empty((nx, ny, 2, 2), dtype=complex)
-    for x in range(nx):
-        for y in range(ny):
+AFFINE_GRID = 1001  # boundary parameters the erasure-affine suite checks on [0, 1/2]
+
+
+def _random_qubit_ensemble(rng: XorShift64Star) -> CqEnsemble:
+    """A 2x2 ensemble of random mixed qubit states."""
+    raw = 0.1 + rng.uniforms(4)
+    probs = (raw / raw.sum()).reshape(2, 2)
+    states = np.empty((2, 2, 2, 2), dtype=complex)
+    for x in range(2):
+        for y in range(2):
             re = 2.0 * rng.uniforms(4) - 1.0
             im = 2.0 * rng.uniforms(4) - 1.0
             m = (re + 1j * im).reshape(2, 2)
@@ -121,13 +125,11 @@ def suite_erasure_additivity(seed: int = 0, eps: float = 0.25):
     return checks
 
 
-def suite_erasure_affine(seed: int = 0, eps: float = 0.25, grid: int = 1001):
-    from .entropy import binary_entropy
-
+def suite_erasure_affine(seed: int = 0, eps: float = 0.25):
     b0 = erasure_bounds(eps, 0.0)
     b1 = erasure_bounds(eps, 0.5)
     worst = 0.0
-    for p in np.linspace(0.0, 0.5, grid):
+    for p in np.linspace(0.0, 0.5, AFFINE_GRID):
         t = binary_entropy(float(p))
         b = erasure_bounds(eps, float(p))
         for got, lo, hi in ((b.b_rp, b0.b_rp, b1.b_rp), (b.b_ps, b0.b_ps, b1.b_ps),

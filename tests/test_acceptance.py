@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from privcap import (
+    CqEnsemble,
+    KrausChannel,
     RateTriple,
     SearchConfig,
     TradeoffWeights,
@@ -224,12 +226,18 @@ def test_ac09_property_suite():
         assert von_neumann_entropy(u @ rho @ dag(u)) == pytest.approx(
             von_neumann_entropy(rho), abs=1e-9
         )
+    # the partial-trace channel A_k = I ⊗ <k| has output A and environment B,
+    # so the library's evaluation of rho_AB gives H(A), H(B) and H(AB)
+    trace_b = KrausChannel(4, 2, tuple(np.kron(np.eye(2), np.eye(2)[k:k + 1]) for k in range(2)))
     for _ in range(200):
         rho_ab = random_density(rng, 4)
         h_ab = von_neumann_entropy(rho_ab)
         h_a = von_neumann_entropy(partial_trace(rho_ab, [2, 2], {0}))
         h_b = von_neumann_entropy(partial_trace(rho_ab, [2, 2], {1}))
         assert h_ab <= h_a + h_b + 1e-9
+        ev = evaluate_ensemble(trace_b, CqEnsemble(np.ones((1, 1)), rho_ab[None, None]))
+        assert max(abs(ev.h_b - h_a), abs(ev.h_e - h_b), abs(ev.h_in_x - h_ab)) < 1e-12
+        assert ev.h_in_x <= ev.h_b + ev.h_e + 1e-9
     # chain rule residual on cq evaluations
     ch = make_erasure(0.3)
     for _ in range(20):
@@ -254,7 +262,8 @@ def test_ac09_property_suite():
                     for k in range(2):
                         expect[j, jp] += rho[4 * i + 2 * j + k, 4 * i + 2 * jp + k]
         assert np.abs(got - expect).max() < 1e-12
-    report("AC9", "entropy axioms, chain rule, Kraus completeness, partial-trace oracle")
+    report("AC9", "entropy axioms (oracle and library), chain rule, Kraus completeness, "
+           "partial-trace oracle")
 
 
 def test_ac10_cli_regression(tmp_path):

@@ -270,6 +270,25 @@ class TestChannelDocuments:
         with pytest.raises(ValueError, match="missing"):
             load_channel({"dim_in": 2})
 
+    def test_rejects_malformed_fields(self):
+        # dimensions are positive JSON integers, params a list of finite reals;
+        # nothing is truncated or coerced
+        base = channel_document(make_identity(2))
+        for name, value in (("dim_in", None), ("dim_in", 2.9), ("dim_in", 2.0), ("dim_in", "2"),
+                            ("dim_out", True), ("dim_out", 0), ("dim_out", -2)):
+            with pytest.raises(ValueError, match=f"'{name}' must be a positive integer"):
+                load_channel(dict(base, **{name: value}))
+        for params in (5, None, "0.2", ["nan"], [float("nan")], [float("-inf")], [10**400], [True],
+                       [[0.2]]):
+            with pytest.raises(ValueError, match="'params' must be a list of finite reals"):
+                load_channel(dict(base, params=params))
+        assert load_channel(dict(base, params=[1, 0.5])).params == (1.0, 0.5)
+
+    def test_rejects_non_finite_params(self):
+        for bad in (float("nan"), float("inf"), "-inf"):
+            with pytest.raises(ValueError, match="params must be finite"):
+                KrausChannel(2, 2, (np.eye(2),), params=(0.5, bad))
+
 
 class TestLabels:
     def test_antidegradable(self):

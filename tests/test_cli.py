@@ -225,6 +225,15 @@ class TestBadArguments:
         assert res.stderr.startswith("error:") and "rate R" in res.stderr
         assert res.stdout == ""
 
+    def test_malformed_channel_file(self, tmp_path):
+        doc = {"dim_in": None, "dim_out": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]],
+                                                        [[0.0, 0.0], [1.0, 0.0]]]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("formula", "--channel", "custom-file", "--file", str(path))
+        assert res.returncode == 2
+        assert res.stderr == "error: 'dim_in' must be a positive integer, got None\n"
+
     def test_unknown_channel(self):
         res = run_cli("region", "--channel", "amplitude", "--out", "/tmp/x.csv")
         assert res.returncode == 2

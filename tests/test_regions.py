@@ -44,6 +44,10 @@ class TestUnitRegion:
 
     def test_positive_rate_outside(self):
         assert not membership(eb_family(0.0), RateTriple(0.1, 0.0, 0.0)).inside
+        # a near-miss also runs the refinement scan, on the one-point domain
+        res = membership(eb_family(0.0), RateTriple(5e-4, 0.0, 0.0))
+        assert not res.inside
+        assert (res.blocking_constraint, res.violation) == ("R+P", 5e-4)
 
     def test_matrix_inverse_exact(self):
         assert unit_matrix_inverse_check()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privcap import tradeoff
+from privcap import search, tradeoff
 from privcap import (
     CqEnsemble,
     SearchConfig,
@@ -36,7 +36,7 @@ from privcap.entropy import binary_entropy
 from privcap.search import coordinate_ascent
 from privcap.tradeoff import _bundle, _eigvals_psd, _expect, _ParamSpace, _ProbeObjective
 from conftest import random_density, random_ensemble
-from oracles import partial_trace, von_neumann_entropy
+from oracles import evolve, partial_trace, von_neumann_entropy
 
 FAST = SearchConfig(seed=3, restarts=8, iters=200)
 
@@ -86,15 +86,21 @@ class TestEvaluateEnsemble:
         assert q.ps == pytest.approx(1.0 - binary_entropy(0.9), abs=1e-12)
 
     def test_marginal_consistency(self, rng):
+        # H(B|X) and H(E|X) are the p(x)-weighted entropies of the conditional
+        # states sum_y p(y|x) N(rho_{x,y}) and its environment counterpart
         ch = make_erasure(0.25)
         ens = random_ensemble(rng, 2, 2, 3)
         ev = evaluate_ensemble(ch, ens)
         p_x = ens.probs.sum(axis=1)
+        h_b_x = h_e_x = 0.0
         for x in range(ens.nx):
-            mix = sum(
-                ens.probs[x, y] / p_x[x] * ev.rho_b_xy[x, y] for y in range(ens.ny)
-            )
-            assert np.abs(mix - ev.rho_b_x[x]).max() < 1e-10
+            outs = [evolve(ch, ens.states[x, y]) for y in range(ens.ny)]
+            rho_b_x = sum(ens.probs[x, y] / p_x[x] * b for y, (b, _) in enumerate(outs))
+            rho_e_x = sum(ens.probs[x, y] / p_x[x] * e for y, (_, e) in enumerate(outs))
+            h_b_x += p_x[x] * von_neumann_entropy(rho_b_x)
+            h_e_x += p_x[x] * von_neumann_entropy(rho_e_x)
+        assert ev.h_b_x == pytest.approx(h_b_x, abs=1e-10)
+        assert ev.h_e_x == pytest.approx(h_e_x, abs=1e-10)
 
     def test_against_dense_state_oracle(self, rng):
         # entropies from the vectorized path match brute-force entropies
@@ -110,7 +116,8 @@ class TestEvaluateEnsemble:
                 px[x, x] = 1.0
                 py = np.zeros((ny, ny))
                 py[y, y] = 1.0
-                sigma += ens.probs[x, y] * tensor_product(tensor_product(px, py), ev.rho_b_xy[x, y])
+                rho_b, _ = evolve(ch, ens.states[x, y])
+                sigma += ens.probs[x, y] * tensor_product(tensor_product(px, py), rho_b)
         dims = [nx, ny, db]
         h_b = von_neumann_entropy(partial_trace(sigma, dims, {2}))
         h_bx = von_neumann_entropy(partial_trace(sigma, dims, {0, 2})) - von_neumann_entropy(
@@ -351,6 +358,18 @@ class TestEnsembleOps:
         v12 = objective_p(evaluate_ensemble(pair, tensor_ensembles(e1, e2)), w)
         assert v12 == pytest.approx(v1 + v2, abs=1e-9)
 
+    def test_tensor_ensembles_is_the_kron_loop(self, rng):
+        # indices of the first ensemble are most significant, and every state
+        # is bitwise the Kronecker product of its two factors
+        for (da, nxa, nya), (db, nxb, nyb) in (((2, 2, 3), (2, 3, 1)), ((2, 1, 2), (3, 2, 2))):
+            a, b = random_ensemble(rng, da, nxa, nya), random_ensemble(rng, db, nxb, nyb)
+            t = tensor_ensembles(a, b)
+            assert t.probs.shape == (nxa * nxb, nya * nyb)
+            for xa, xb, ya, yb in np.ndindex(nxa, nxb, nya, nyb):
+                x, y = xa * nxb + xb, ya * nyb + yb
+                assert t.probs[x, y] == pytest.approx(a.probs[xa, ya] * b.probs[xb, yb], abs=1e-15)
+                assert np.array_equal(t.states[x, y], np.kron(a.states[xa, ya], b.states[xb, yb]))
+
 
 class TestInternals:
     def test_analytic_2x2_eigenvalues(self, rng):
@@ -480,7 +499,7 @@ class TestInternals:
         monkeypatch.setattr(tradeoff, "_ProbeObjective", EveryBranch)
         assert run() == incremental
 
-    def test_speculative_ascent_is_one_probe_at_a_time(self, rng):
+    def test_speculative_ascent_is_one_probe_at_a_time(self, rng, monkeypatch):
         # probes evaluated ahead in batches leave value, point and count of the
         # plain search unchanged, for budgets that end mid-coordinate and
         # mid-ride, a coordinate subset, a flat objective that runs the step
@@ -508,6 +527,7 @@ class TestInternals:
             want = _plain_ascent(lambda c: fn(c[None])[0], theta, v0, coords=coords,
                                  step=0.3, budget=budget)
             for lookahead in (1, 2, 8, 13):
+                monkeypatch.setattr(search, "LOOKAHEAD", lookahead)
                 sizes = []
 
                 def counted(cands):
@@ -515,7 +535,7 @@ class TestInternals:
                     return fn(cands)
 
                 got = coordinate_ascent(counted, theta, v0, coords=coords, step=0.3,
-                                        budget=budget, lookahead=lookahead)
+                                        budget=budget)
                 assert got[0] == want[0] or np.isnan(got[0]) and np.isnan(want[0])
                 assert np.array_equal(got[1], want[1])
                 assert got[2] == want[2] <= budget
