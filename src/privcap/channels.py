@@ -158,12 +158,17 @@ def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
 
 
 def is_antidegradable_label(ch: KrausChannel) -> bool:
-    """Trusted constructor label: erasure iff eps >= 1/2, completely dephasing (p=1)."""
-    if ch.label == "erasure":
-        return ch.params[0] >= 0.5
-    if ch.label == "dephasing":
-        return ch.params[0] == 1.0
-    return False
+    """Erasure with eps >= 1/2 or completely dephasing (p=1), by label and
+    params, trusted only when the Kraus operators are the constructor's."""
+    p = ch.params[0] if len(ch.params) == 1 else math.nan
+    if ch.label == "erasure" and 0.5 <= p <= 1.0:
+        ref = make_erasure(p)
+    elif ch.label == "dephasing" and p == 1.0:
+        ref = make_dephasing(1.0)
+    else:
+        return False
+    return (ref.kraus_stack.shape == ch.kraus_stack.shape
+            and float(np.abs(ref.kraus_stack - ch.kraus_stack).max()) <= KRAUS_COMPLETENESS_TOL)
 
 
 def warn_if_not_antidegradable(ch: KrausChannel) -> None:

@@ -220,7 +220,8 @@ def _violations(b: BoundTriple, pt: RateTriple):
 
 def _scan(family: BoundaryFamily, params, pt: RateTriple):
     best = (math.inf, None, None)
-    for t in params:
+    # a parameter equal to the one before cannot beat the first best
+    for t in params[np.concatenate(([True], params[1:] != params[:-1]))]:
         b = family.fn(float(t))
         vio = _violations(b, pt)
         worst_name, worst = max(((n, v) for n, v in vio), key=lambda nv: nv[1])

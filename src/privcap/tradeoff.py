@@ -128,8 +128,9 @@ class CqEvaluation:
     h_b_xy = H(B|XY), and likewise h_e, h_e_x, h_e_xy.  h_in_x is the
     averaged input entropy sum_xy p(x, y) H(rho_{x,y}).  A batched
     evaluation (a search objective's stack of candidates) holds (B,)
-    arrays, one entry per ensemble; ``evaluate_ensemble`` returns one
-    ensemble with float entropies.
+    arrays, one entry per ensemble, and None in the fields its objective
+    does not read; ``evaluate_ensemble`` returns one ensemble with float
+    entropies.
     """
 
     h_b: float | np.ndarray
@@ -181,58 +182,79 @@ def _expect(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(p[:, None, :], x.reshape(rows, n, -1)).reshape(x.shape[:1] + x.shape[2:])
 
 
-def _branches(kstack: np.ndarray, states: np.ndarray):
-    """Per-branch layer: (n, d, d) input states -> rho_b, rho_e and the
-    entropies H(rho_b), H(rho_e), H(rho_in) of each branch.
-
-    A branch's results depend on its own input state alone, bit for bit,
-    whichever other branches share the call.
-    """
-    rho_b, rho_e = branch_outputs(kstack, states)
-    return rho_b, rho_e, _entropies_psd(rho_b), _entropies_psd(rho_e), _entropies_psd(states)
+# Each CqEvaluation field is the entropy of one stack of states.  Rows: B, E
+# and the channel input; columns: the average state, the conditional states
+# (summed with weights p(x)) and the branch states (weights p(x, y)).
+_STACKS = (("h_b", "h_b_x", "h_b_xy"), ("h_e", "h_e_x", "h_e_xy"), (None, None, "h_in_x"))
+_ALL_FIELDS = frozenset(f.name for f in fields(CqEvaluation))
 
 
-def _system(probs: np.ndarray, p_x: np.ndarray, by_xy: np.ndarray, h_xy: np.ndarray):
-    """Mixing layer of one output system over B ensembles of one shape.
+def _joined(arrays: list) -> np.ndarray:
+    """np.concatenate, without the copy of a lone array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    ``probs`` is (B, nx, ny), ``p_x`` its sums over y, ``by_xy`` the
-    (B, nx*ny, d, d) branch states and ``h_xy`` their (B, nx*ny)
-    entropies.  Returns H, H(.|X) and H(.|XY).  Conditional states are
-    normalized; where p(x) = 0 they are maximally mixed placeholders of
-    zero weight.  The conditional and average states share one
-    eigen-solve.
+
+def _solve(stacks: dict) -> dict:
+    """Spectra step: the entropies of each named (n, d, d) stack, with one
+    ``_entropies_psd`` call per matrix size.  A matrix's entropy does not
+    depend on what shares its call: each is bitwise its stack's alone."""
+    solved = {}
+    for d in {s.shape[-1] for s in stacks.values()}:
+        names = [name for name, s in stacks.items() if s.shape[-1] == d]
+        h, start = _entropies_psd(_joined([stacks[name] for name in names])), 0
+        for name in names:
+            solved[name], start = h[start:start + len(stacks[name])], start + len(stacks[name])
+    return solved
+
+
+def _evaluate(kstack: np.ndarray, probs: np.ndarray, inputs, reads, kept=None, changed=None):
+    """The fields ``reads`` of R ensembles of one alphabet shape, the others None.
+
+    States, then spectra, then sums.  ``probs`` is (R, nx, ny) and
+    ``inputs`` holds the (n, d, d) input states of the branches to send
+    through the channel: all R*nx*ny in row order, or, given ``kept``
+    (an earlier call's per-branch results, gathered by row), those the
+    (R, nx*ny) mask ``changed`` flags; None when it flags none.  Returns
+    the evaluation and the per-branch results a later call may keep.
+    A row's fields do not depend on the other rows, bit for bit.
     """
     rows, nx, ny = probs.shape
-    d = by_xy.shape[-1]
-    summed = np.einsum("bxy,bxyij->bxij", probs, by_xy.reshape(probs.shape + (d, d)))
-    safe = p_x > PROB_FLOOR
-    denom = np.where(safe, p_x, 1.0)[..., None, None]
-    cond = np.where(safe[..., None, None], summed / denom, np.eye(d) / d)
-    p_flat = probs.reshape(rows, nx * ny)
-    avg = _expect(p_flat, by_xy)
-    h = _entropies_psd(np.concatenate([cond, avg[:, None]], axis=1))
-    h_x = _expect(np.where(safe, p_x, 0.0), h[:, :-1])
-    return h[:, -1], h_x, _expect(p_flat, h_xy)
+    fresh = (None,) * 3 if inputs is None else branch_outputs(kstack, inputs) + (inputs,)
+    stacks = {_STACKS[s][2]: part for s, part in enumerate(fresh) if part is not None}
+    branch = {}
 
+    def keep(key, part):
+        branch[key] = part.reshape((rows, nx * ny) + part.shape[1:]) if kept is None else kept[key]
+        if kept is not None and part is not None:
+            branch[key][changed] = part
+        return branch[key]
 
-def _mix(probs: np.ndarray, rho_b, rho_e, h_b_xy, h_e_xy, h_in_xy) -> CqEvaluation:
-    """Mixing layer: the evaluation of B ensembles from their branch results.
-
-    ``probs`` is (B, nx, ny); the branch results are those of
-    ``_branches`` by row and branch, (B, nx*ny, ...) and C-contiguous.
-    """
+    # mixing step, one pass per matrix size with B and E of one size stacked as
+    # rows; where p(x) = 0 the conditional state is a zero-weight placeholder
+    mixed = {s: keep(s, fresh[s]) for s in (0, 1) if reads & set(_STACKS[s][:2])}
+    for d in {states.shape[-1] for states in mixed.values()}:
+        group = [s for s, states in mixed.items() if states.shape[-1] == d]
+        p, states = _joined([probs] * len(group)), _joined([mixed[s] for s in group])
+        p_x = p.sum(axis=2)
+        summed = np.einsum("bxy,bxyij->bxij", p, states.reshape(p.shape + (d, d)))
+        safe = (p_x > PROB_FLOOR)[..., None, None]
+        cond = np.where(safe, summed / np.where(safe, p_x[..., None, None], 1.0), np.eye(d) / d)
+        avg = _expect(p.reshape(len(p), -1), states)
+        for k, s in enumerate(group):
+            stacks[_STACKS[s][0]] = avg[k * rows:(k + 1) * rows]
+            stacks[_STACKS[s][1]] = cond[k * rows:(k + 1) * rows].reshape(-1, d, d)
+    solved = _solve({name: s for name, s in stacks.items() if name in reads})
     p_x = probs.sum(axis=2)
-    h_b, h_b_x, h_b_xy = _system(probs, p_x, rho_b, h_b_xy)
-    h_e, h_e_x, h_e_xy = _system(probs, p_x, rho_e, h_e_xy)
-    return CqEvaluation(
-        h_b=h_b,
-        h_b_x=h_b_x,
-        h_b_xy=h_b_xy,
-        h_e_x=h_e_x,
-        h_e_xy=h_e_xy,
-        h_e=h_e,
-        h_in_x=_expect(probs.reshape(len(probs), -1), h_in_xy),
-    )
+    w_x = np.where(p_x > PROB_FLOOR, p_x, 0.0)
+    ev = dict.fromkeys(_ALL_FIELDS)
+    for h, h_x, h_xy in _STACKS:  # sums step
+        if h in reads:
+            ev[h] = solved[h]
+        if h_x in reads:
+            ev[h_x] = _expect(w_x, solved[h_x].reshape(rows, nx))
+        if h_xy in reads:
+            ev[h_xy] = _expect(probs.reshape(rows, -1), keep(h_xy, solved.get(h_xy)))
+    return CqEvaluation(**ev), branch
 
 
 def _bundle(kstack: np.ndarray, probs: np.ndarray, states: np.ndarray) -> CqEvaluation:
@@ -240,12 +262,10 @@ def _bundle(kstack: np.ndarray, probs: np.ndarray, states: np.ndarray) -> CqEval
 
     ``probs`` is (B, nx, ny) and ``states`` (B, nx*ny, d, d); every field
     of the result is a (B,) array, and each row equals the evaluation of
-    that ensemble alone, bit for bit.  This is the mixing layer over
-    every branch freshly evaluated.
+    that ensemble alone, bit for bit.
     """
     rows, nb, d = states.shape[:3]
-    fresh = _branches(kstack, states.reshape(rows * nb, d, d))
-    return _mix(probs, *(f.reshape((rows, nb) + f.shape[1:]) for f in fresh))
+    return _evaluate(kstack, probs, states.reshape(rows * nb, d, d), _ALL_FIELDS)[0]
 
 
 def evaluate_ensemble(ch: KrausChannel, ens: CqEnsemble) -> CqEvaluation:
@@ -262,6 +282,9 @@ def region_quantities(ev: CqEvaluation) -> RegionQuantities:
     rp = ev.h_b - ev.h_b_xy
     ps = (ev.h_b_x - ev.h_b_xy) - i_y_e_x
     return RegionQuantities(rp=rp, ps=ps, rps=rp - i_y_e_x)
+
+
+_REGION_READS = {"h_b", "h_b_x", "h_b_xy", "h_e_x", "h_e_xy"}  # what region_quantities reads
 
 
 def objective_p(ev: CqEvaluation, w: TradeoffWeights) -> float | np.ndarray:
@@ -371,7 +394,8 @@ class _ParamSpace:
 class _ProbeObjective:
     """The search objective of one restart: ``combine`` of the evaluation
     of each (k, size) stack of candidates, as
-    ``combine(_bundle(kstack, *space.decode(theta)))`` would give it.
+    ``combine(_bundle(kstack, *space.decode(theta)))`` would give it.  Only
+    the fields in ``reads`` are evaluated, the ones ``combine`` reads.
 
     It keeps the per-branch results of its last call.  Each candidate is
     diffed against the nearest of those rows, branch slice by branch
@@ -382,30 +406,30 @@ class _ProbeObjective:
     every value is exact.
     """
 
-    def __init__(self, kstack: np.ndarray, space: _ParamSpace, combine):
-        self.kstack, self.space, self.combine = kstack, space, combine
-        self.slices = None  # (m, nb, spp) bit patterns of the last call's rows
-        self.branches = None  # their _branches results, by row and branch
+    def __init__(self, kstack: np.ndarray, space: _ParamSpace, combine, reads):
+        self.kstack, self.space, self.combine, self.reads = kstack, space, combine, reads
+        self.slices = None  # (spp, m, nb) bit patterns of the last call's rows
+        self.kept = None  # their per-branch results, by row and branch
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         space = self.space
         rows = len(theta)
         cur = np.ascontiguousarray(theta[:, space.nb:]).reshape(rows, space.nb, space.spp)
-        bits = cur.view(np.int64)
+        # (spp, rows, nb): the diff's reduction runs over the outer axis, in whole-array passes
+        bits = np.ascontiguousarray(cur.view(np.int64).transpose(2, 0, 1))
+        kept = changed = None
         if self.slices is None:
-            fresh = _branches(self.kstack, space.decode_states(cur.reshape(-1, space.spp)))
-            merged = [f.reshape((rows, space.nb) + f.shape[1:]) for f in fresh]
+            inputs = space.decode_states(cur.reshape(-1, space.spp))
         else:
-            diff = (bits[:, None] != self.slices[None]).any(axis=-1)
+            diff = (bits[:, :, None] != self.slices[:, None]).any(axis=0)
             base = diff.sum(axis=-1).argmin(axis=1)
             changed = diff[np.arange(rows), base]
-            merged = [old[base] for old in self.branches]
-            if changed.any():
-                fresh = _branches(self.kstack, space.decode_states(cur[changed]))
-                for full, part in zip(merged, fresh):
-                    full[changed] = part
-        self.slices, self.branches = bits, merged
-        return self.combine(_mix(space.decode_probs(theta), *merged))
+            kept = {key: old[base] for key, old in self.kept.items()}
+            inputs = space.decode_states(cur[changed]) if changed.any() else None
+        ev, self.kept = _evaluate(self.kstack, space.decode_probs(theta), inputs, self.reads,
+                                  kept, changed)
+        self.slices = bits
+        return self.combine(ev)
 
 
 def _basis_state(d: int, index: int) -> np.ndarray:
@@ -466,16 +490,17 @@ def _random_start(rng: XorShift64Star, d: int, nx: int, ny: int, space_mixed: bo
     return probs[0], states[0]
 
 
-def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
+def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray], reads,
                 cfg: SearchConfig | None, *, mixed: bool = True, ny_forced: int | None = None,
                 extra_starts=()):
     """Random-restart coordinate search over ensembles; deterministic by seed.
 
-    Each restart's objective (a ``_ProbeObjective``) evaluates a stack of
-    candidate parameter vectors in one batched call, recomputing only the
-    branches the probes changed; ``coordinate_ascent`` fills the stack with
-    the probes it is about to make, which leaves the result as if the
-    probes were made one at a time.
+    Each restart's objective (a ``_ProbeObjective``) evaluates the fields
+    ``reads`` (those ``combine`` reads) of a stack of candidate parameter
+    vectors in one batched call, recomputing only the branches the probes
+    changed; ``coordinate_ascent`` fills the stack with the probes it is
+    about to make, which leaves the result as if the probes were made one
+    at a time.
 
     Returns (best value, best probs, best states, diagnostics dict).
     """
@@ -499,7 +524,7 @@ def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
         nx, ny = probs0.shape
         space = _ParamSpace(nx, ny, d, mixed)
         flat0 = np.asarray(states0, dtype=complex).reshape(nx * ny, d, d)
-        f = _ProbeObjective(kstack, space, combine)
+        f = _ProbeObjective(kstack, space, combine, reads)
         theta0 = space.encode(np.asarray(probs0, dtype=float), flat0)
         v0 = f(theta0[None])[0]
         budget_a = max(2 * space.nb, int(0.4 * budget))
@@ -551,7 +576,7 @@ def maximize_p(ch: KrausChannel, w: TradeoffWeights, cfg: SearchConfig | None = 
     restarts.
     """
     extra = [(e.probs, e.states) for e in starts]
-    val, probs, states, diag = _run_search(ch, lambda ev: objective_p(ev, w), cfg,
+    val, probs, states, diag = _run_search(ch, lambda ev: objective_p(ev, w), _REGION_READS, cfg,
                                            extra_starts=extra)
     if diagnostics is not None:
         diagnostics.update(diag)
@@ -560,22 +585,16 @@ def maximize_p(ch: KrausChannel, w: TradeoffWeights, cfg: SearchConfig | None = 
     return val, ens
 
 
-def _search_value(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
-                  cfg: SearchConfig | None, **kw) -> float:
-    """The best value of ``_run_search``."""
-    return _run_search(ch, combine, cfg, **kw)[0]
-
-
 def holevo_capacity(ch: KrausChannel, cfg: SearchConfig | None = None) -> float:
     """max I(X;B) over finite ensembles of pure input states."""
-    return _search_value(ch, lambda ev: ev.h_b - ev.h_b_x, cfg, mixed=False, ny_forced=1)
+    return _run_search(ch, lambda ev: ev.h_b - ev.h_b_x, {"h_b", "h_b_x"}, cfg,
+                       mixed=False, ny_forced=1)[0]
 
 
 def private_information(ch: KrausChannel, cfg: SearchConfig | None = None) -> float:
     """max I(X;B) - I(X;E) over finite ensembles of mixed input states."""
-    return _search_value(
-        ch, lambda ev: (ev.h_b - ev.h_b_x) - (ev.h_e - ev.h_e_x), cfg, ny_forced=1
-    )
+    return _run_search(ch, lambda ev: (ev.h_b - ev.h_b_x) - (ev.h_e - ev.h_e_x),
+                       {"h_b", "h_b_x", "h_e", "h_e_x"}, cfg, ny_forced=1)[0]
 
 
 def cq_tradeoff_f(ch: KrausChannel, mu: float, cfg: SearchConfig | None = None) -> float:
@@ -586,9 +605,8 @@ def cq_tradeoff_f(ch: KrausChannel, mu: float, cfg: SearchConfig | None = None) 
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    return _search_value(
-        ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * (ev.h_b_x - ev.h_e_x), cfg, ny_forced=1
-    )
+    return _run_search(ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * (ev.h_b_x - ev.h_e_x),
+                       {"h_b", "h_b_x", "h_e_x"}, cfg, ny_forced=1)[0]
 
 
 def public_private_tradeoff(ch: KrausChannel, mu: float,
@@ -596,9 +614,8 @@ def public_private_tradeoff(ch: KrausChannel, mu: float,
     """Public-private trade-off value P_mu = max I(X;B) + (1+mu)[I(Y;B|X) - I(Y;E|X)]."""
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    return _search_value(
-        ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * region_quantities(ev).ps, cfg
-    )
+    return _run_search(ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * region_quantities(ev).ps,
+                       _REGION_READS, cfg)[0]
 
 
 def quantum_dynamic_d(ch: KrausChannel, w: TradeoffWeights,
@@ -621,7 +638,7 @@ def quantum_dynamic_d(ch: KrausChannel, w: TradeoffWeights,
             + w.mu * (ev.h_b - ev.h_e_x)
         )
 
-    return _search_value(ch, combine, cfg, ny_forced=1)
+    return _run_search(ch, combine, {"h_b", "h_b_x", "h_e_x", "h_in_x"}, cfg, ny_forced=1)[0]
 
 
 def antidegradable_value(ch: KrausChannel, w: TradeoffWeights, holevo: float) -> float:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from privcap import (
     KrausChannel,
+    TradeoffWeights,
+    antidegradable_value,
     channel_document,
     dag,
     is_antidegradable_label,
@@ -295,6 +297,16 @@ class TestLabels:
         assert is_antidegradable_label(make_erasure(0.6))
         assert is_antidegradable_label(make_dephasing(1.0))
         assert not is_antidegradable_label(make_dephasing(0.2))
+
+    def test_loaded_labels_are_checked_against_the_operators(self):
+        # the label and params of a document do not make the identity antidegradable
+        assert is_antidegradable_label(load_channel(channel_document(make_erasure(0.6))))
+        doc = channel_document(make_identity(2))
+        for label, params in (("dephasing", []), ("erasure", [0.9]), ("dephasing", [1.0])):
+            ch = load_channel(dict(doc, label=label, params=params))
+            assert not is_antidegradable_label(ch)
+            with pytest.warns(UserWarning, match="antidegradable"):
+                antidegradable_value(ch, TradeoffWeights(0.0, 0.0), 1.0)
 
     def test_kraus_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,23 @@ class TestMembership:
         for delta in (0.1, 0.5, 2.0):
             weaker = RateTriple(base.r - delta, base.p - delta, base.s - delta)
             assert membership(fam, weaker).inside
+
+    def test_one_point_domain_is_scanned_once(self):
+        # eb's domain is one parameter: its 1001 grid copies cost one call,
+        # and the near-miss refinement one more
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return eb_bounds(1.0)
+
+        fam = replace(eb_family(1.0), fn=counted)
+        for point, inside, n in (((1.1, 0.0, 0.0), False, 1), ((1.0005, 0.0, 0.0), False, 2),
+                                 ((0.5, 0.0, 0.0), True, 1)):
+            calls.clear()
+            res = membership(fam, point)
+            assert res.inside == inside and len(calls) == n
+            assert res == membership(eb_family(1.0), point)
 
     def test_near_boundary_refinement(self):
         fam = dephasing_family(0.2)

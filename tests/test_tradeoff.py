@@ -34,7 +34,16 @@ from privcap import (
 )
 from privcap.entropy import binary_entropy
 from privcap.search import coordinate_ascent
-from privcap.tradeoff import _bundle, _eigvals_psd, _expect, _ParamSpace, _ProbeObjective
+from privcap.tradeoff import (
+    _ALL_FIELDS,
+    _bundle,
+    _eigvals_psd,
+    _entropies_psd,
+    _expect,
+    _ParamSpace,
+    _ProbeObjective,
+    _solve,
+)
 from conftest import random_density, random_ensemble
 from oracles import evolve, partial_trace, von_neumann_entropy
 
@@ -426,11 +435,24 @@ class TestInternals:
                         assert np.array_equal(getattr(batch, f.name)[r],
                                               getattr(alone, f.name)[0]), f.name
 
+    def test_solve_is_one_solve_per_stack(self, rng):
+        # stacks of sizes 2 (the closed form), 3 and 4 (LAPACK), grouped by
+        # size in any order, give the entropies of each stack solved alone
+        for _ in range(5):
+            sizes = rng.choice([2, 3, 4], size=int(rng.integers(1, 8)))
+            stacks = {k: np.array([random_density(rng, d) for _ in range(int(rng.integers(1, 6)))])
+                      for k, d in enumerate(sizes)}
+            got = _solve(stacks)
+            assert got.keys() == stacks.keys()
+            for k, stack in stacks.items():
+                assert got[k].tobytes() == _entropies_psd(stack).tobytes()
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(data=st.data())
     def test_incremental_rows_are_exact(self, data):
         # each call's rows are probes of 0-2 coordinates from a row of any
-        # earlier call; every field of every row is bitwise the full evaluation
+        # earlier call; every field read of every row is bitwise the full
+        # evaluation, and the fields not read are None
         ch = data.draw(st.sampled_from(PROBE_CHANNELS), label="channel")
         nx, ny = data.draw(st.integers(1, 4), label="nx"), data.draw(st.integers(1, 4), label="ny")
         space = _ParamSpace(nx, ny, ch.dim_in, mixed=data.draw(st.booleans(), label="mixed"))
@@ -438,14 +460,18 @@ class TestInternals:
         theta0 = rng.uniform(-1.0, 1.0, size=space.size)
         if nx > 1 and data.draw(st.booleans(), label="zero-weight x"):
             theta0[:ny] = 0.0
-        objective = _ProbeObjective(ch.kraus_stack, space, lambda ev: ev)
+        reads = data.draw(st.sets(st.sampled_from(sorted(_ALL_FIELDS)), min_size=1), label="reads")
+        objective = _ProbeObjective(ch.kraus_stack, space, lambda ev: ev, reads)
         points = [theta0]
         stack = theta0[None]
         for _ in range(data.draw(st.integers(1, 5), label="calls")):
             got = objective(stack)
             want = _bundle(ch.kraus_stack, *space.decode(stack))
             for f in fields(want):
-                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+                if f.name in reads:
+                    assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+                else:
+                    assert getattr(got, f.name) is None, f.name
             points.extend(stack)
             rows = []
             for _ in range(data.draw(st.integers(1, 8), label="rows")):
@@ -463,7 +489,7 @@ class TestInternals:
         # the searches, and every ascent of every restart in them, return what
         # evaluating every branch of every probe returns
         class EveryBranch:
-            def __init__(self, kstack, space, combine):
+            def __init__(self, kstack, space, combine, reads):  # evaluates every field
                 self.kstack, self.space, self.combine = kstack, space, combine
 
             def __call__(self, theta):
@@ -498,6 +524,33 @@ class TestInternals:
         incremental = run()
         monkeypatch.setattr(tradeoff, "_ProbeObjective", EveryBranch)
         assert run() == incremental
+
+    def test_search_values_are_full_evaluations(self, monkeypatch):
+        # each search reads only some fields; its value is its objective at
+        # the full evaluation of the ensemble it returns, bit for bit
+        runs = []
+
+        def recorded(ch, combine, reads, cfg, **kwargs):
+            out = run_search(ch, combine, reads, cfg, **kwargs)
+            runs.append((ch, combine, out))
+            return out
+
+        run_search = tradeoff._run_search
+        monkeypatch.setattr(tradeoff, "_run_search", recorded)
+        cfg = SearchConfig(seed=2, restarts=4, iters=40)
+        w = TradeoffWeights(0.5, 2.0)
+        for ch in (make_dephasing(0.2), ERASURE, make_cloning(3)):
+            maximize_p(ch, w, cfg)
+            holevo_capacity(ch, cfg)
+            private_information(ch, cfg)
+            cq_tradeoff_f(ch, 0.5, cfg)
+            public_private_tradeoff(ch, 0.5, cfg)
+            quantum_dynamic_d(ch, w, cfg)
+        assert len(runs) == 18
+        for ch, combine, (value, probs, states, _) in runs:
+            nx, ny = probs.shape
+            ens = CqEnsemble(probs, states.reshape(nx, ny, ch.dim_in, ch.dim_in))
+            assert repr(float(combine(evaluate_ensemble(ch, ens)))) == repr(value)
 
     def test_speculative_ascent_is_one_probe_at_a_time(self, rng, monkeypatch):
         # probes evaluated ahead in batches leave value, point and count of the
