@@ -4,6 +4,9 @@ A channel is a list of Kraus operators A_k with sum_k A_k† A_k = I.
 ``branch_outputs`` is its one action on a stack of inputs: the output
 (Bob) state sum_k A_k rho A_k† and the complementary environment (Eve)
 state rho_e[k, l] = Tr(A_k rho A_l†), whose basis is the Kraus index.
+Both are linear in rho, so each channel builds their transfer
+(Liouville) matrices once, and the action is one matmul per system of
+the flattened inputs: rho_b = vec(rho) @ S_B and rho_e = vec(rho) @ S_E.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ class KrausChannel:
     label: str = "custom"
     params: tuple = ()
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _transfer_b: np.ndarray = field(init=False, repr=False, compare=False)
+    _transfer_e: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.array(a, dtype=complex) for a in self.kraus)
@@ -56,8 +61,24 @@ class KrausChannel:
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "params", params)
         stack = np.stack(ops)
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
+        din = self.dim_in
+
+        def transfer(a, m):
+            # (s, m, din) -> S[(o, p), (i, j)] = sum_s a[s, i, o] conj(a[s, j, p]),
+            # one matmul over the summed axis, with a C-contiguous result
+            # (np.einsum of the same sum costs about 5x as much and returns
+            # S_E in Fortran order)
+            flat = a.reshape(len(a), m * din)
+            s = (flat.T @ flat.conj()).reshape(m, din, m, din)
+            return s.transpose(1, 3, 0, 2).reshape(din * din, m * m)
+
+        # S_B sums over the Kraus index, S_E[(o, p), (k, l)] over the output index
+        transfer_b = transfer(stack, self.dim_out)
+        transfer_e = transfer(stack.transpose(1, 0, 2), len(ops))
+        for name, arr in (("_stack", stack), ("_transfer_b", transfer_b),
+                          ("_transfer_e", transfer_e)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def kraus_stack(self) -> np.ndarray:
@@ -73,18 +94,24 @@ class KrausChannel:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim_in, self.dim_in):
             raise ValueError(f"input shape {rho.shape}, expected ({self.dim_in}, {self.dim_in})")
-        return branch_outputs(self._stack, rho[None])[0][0]
+        if not np.isfinite(rho).all():
+            raise ValueError("input state rho has a non-finite entry")
+        return branch_outputs(self, rho[None])[0][0]
 
 
-def branch_outputs(kraus_stack: np.ndarray, states: np.ndarray):
+def branch_outputs(ch: KrausChannel, states: np.ndarray):
     """Output and environment states of a stack of inputs rho_n.
 
     Returns (rho_b, rho_e) with rho_b[n] = sum_k A_k rho_n A_k† and
     rho_e[n][k, l] = Tr(A_k rho_n A_l†), the complementary-channel output.
+    Each is a stacked (n, 1, dim_in**2) @ (dim_in**2, m) product, which
+    runs one BLAS vector-matrix product per input, so every output is
+    bitwise that of its input sent alone.
     """
-    tmp = kraus_stack[:, None] @ states[None]
-    rho_b = np.einsum("knio,kjo->nij", tmp, kraus_stack.conj())
-    rho_e = np.einsum("knio,lio->nkl", tmp, kraus_stack.conj())
+    n = len(states)
+    flat = states.reshape(n, 1, ch.dim_in * ch.dim_in)
+    rho_b = np.matmul(flat, ch._transfer_b).reshape(n, ch.dim_out, ch.dim_out)
+    rho_e = np.matmul(flat, ch._transfer_e).reshape(n, ch.num_kraus, ch.num_kraus)
     return rho_b, rho_e
 
 

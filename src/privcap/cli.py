@@ -106,7 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _seed_of(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(os.environ.get("TRADEOFF_SEED", "0"))
+    raw = os.environ.get("TRADEOFF_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"TRADEOFF_SEED must be an integer, got {raw!r}") from None
 
 
 def _require(args, flag: str):

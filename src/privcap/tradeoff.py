@@ -2,7 +2,7 @@
 trade-off objectives with their ensemble-search maximizers.
 
 An ensemble assigns a joint probability p(x, y) and a channel-input
-density matrix rho_{x,y} to each pair of classical indices.  The Kraus
+density matrix rho_{x,y} to each pair of classical indices.  The channel
 action ``channels.branch_outputs`` sends every branch to its conditional
 output (Bob) state sum_k A_k rho A_k† and environment (Eve) state
 rho_e[k, l] = Tr(A_k rho A_l†); all entropic quantities are evaluated
@@ -17,6 +17,7 @@ so growing the restart count never changes earlier restarts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -68,6 +69,16 @@ class SearchConfig:
     iters: int = 200
     nx: int | None = None
     ny: int | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name in ("nx", "ny"):
+                continue
+            if type(value) is bool or not isinstance(value, numbers.Integral):
+                raise ValueError(f"search {f.name} must be an integer, got {value!r}")
+            if f.name != "seed" and value < 1:
+                raise ValueError(f"search {f.name} must be at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +218,7 @@ def _solve(stacks: dict) -> dict:
     return solved
 
 
-def _evaluate(kstack: np.ndarray, probs: np.ndarray, inputs, reads, kept=None, changed=None):
+def _evaluate(ch: KrausChannel, probs: np.ndarray, inputs, reads, kept=None, changed=None):
     """The fields ``reads`` of R ensembles of one alphabet shape, the others None.
 
     States, then spectra, then sums.  ``probs`` is (R, nx, ny) and
@@ -219,7 +230,7 @@ def _evaluate(kstack: np.ndarray, probs: np.ndarray, inputs, reads, kept=None, c
     A row's fields do not depend on the other rows, bit for bit.
     """
     rows, nx, ny = probs.shape
-    fresh = (None,) * 3 if inputs is None else branch_outputs(kstack, inputs) + (inputs,)
+    fresh = (None,) * 3 if inputs is None else branch_outputs(ch, inputs) + (inputs,)
     stacks = {_STACKS[s][2]: part for s, part in enumerate(fresh) if part is not None}
     branch = {}
 
@@ -257,7 +268,7 @@ def _evaluate(kstack: np.ndarray, probs: np.ndarray, inputs, reads, kept=None, c
     return CqEvaluation(**ev), branch
 
 
-def _bundle(kstack: np.ndarray, probs: np.ndarray, states: np.ndarray) -> CqEvaluation:
+def _bundle(ch: KrausChannel, probs: np.ndarray, states: np.ndarray) -> CqEvaluation:
     """Evaluate B ensembles of one alphabet shape at once.
 
     ``probs`` is (B, nx, ny) and ``states`` (B, nx*ny, d, d); every field
@@ -265,14 +276,14 @@ def _bundle(kstack: np.ndarray, probs: np.ndarray, states: np.ndarray) -> CqEval
     that ensemble alone, bit for bit.
     """
     rows, nb, d = states.shape[:3]
-    return _evaluate(kstack, probs, states.reshape(rows * nb, d, d), _ALL_FIELDS)[0]
+    return _evaluate(ch, probs, states.reshape(rows * nb, d, d), _ALL_FIELDS)[0]
 
 
 def evaluate_ensemble(ch: KrausChannel, ens: CqEnsemble) -> CqEvaluation:
     """Push every ensemble branch through the channel and collect states/entropies."""
     if ens.dim != ch.dim_in:
         raise ValueError(f"ensemble states have dim {ens.dim}, channel expects {ch.dim_in}")
-    ev = _bundle(ch.kraus_stack, ens.probs[None], ens.states.reshape(1, -1, ens.dim, ens.dim))
+    ev = _bundle(ch, ens.probs[None], ens.states.reshape(1, -1, ens.dim, ens.dim))
     return CqEvaluation(**{f.name: float(getattr(ev, f.name)[0]) for f in fields(ev)})
 
 
@@ -394,7 +405,7 @@ class _ParamSpace:
 class _ProbeObjective:
     """The search objective of one restart: ``combine`` of the evaluation
     of each (k, size) stack of candidates, as
-    ``combine(_bundle(kstack, *space.decode(theta)))`` would give it.  Only
+    ``combine(_bundle(ch, *space.decode(theta)))`` would give it.  Only
     the fields in ``reads`` are evaluated, the ones ``combine`` reads.
 
     It keeps the per-branch results of its last call.  Each candidate is
@@ -406,8 +417,8 @@ class _ProbeObjective:
     every value is exact.
     """
 
-    def __init__(self, kstack: np.ndarray, space: _ParamSpace, combine, reads):
-        self.kstack, self.space, self.combine, self.reads = kstack, space, combine, reads
+    def __init__(self, ch: KrausChannel, space: _ParamSpace, combine, reads):
+        self.ch, self.space, self.combine, self.reads = ch, space, combine, reads
         self.slices = None  # (spp, m, nb) bit patterns of the last call's rows
         self.kept = None  # their per-branch results, by row and branch
 
@@ -426,7 +437,7 @@ class _ProbeObjective:
             changed = diff[np.arange(rows), base]
             kept = {key: old[base] for key, old in self.kept.items()}
             inputs = space.decode_states(cur[changed]) if changed.any() else None
-        ev, self.kept = _evaluate(self.kstack, space.decode_probs(theta), inputs, self.reads,
+        ev, self.kept = _evaluate(self.ch, space.decode_probs(theta), inputs, self.reads,
                                   kept, changed)
         self.slices = bits
         return self.combine(ev)
@@ -506,11 +517,8 @@ def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
     """
     cfg = cfg or SearchConfig()
     d = ch.dim_in
-    nx_max = cfg.nx if cfg.nx else d * d
-    ny_max = ny_forced if ny_forced else (cfg.ny if cfg.ny else d * d)
-    if nx_max < 1 or ny_max < 1 or cfg.restarts < 1 or cfg.iters < 1:
-        raise ValueError("search configuration values must be positive")
-    kstack = ch.kraus_stack
+    nx_max = cfg.nx or d * d
+    ny_max = ny_forced or cfg.ny or d * d
     budget = 2 * cfg.iters
     seeds = derive_seeds(cfg.seed, cfg.restarts)
     canonical = _canonical_starts(d, nx_max, ny_max, mixed)
@@ -524,7 +532,7 @@ def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
         nx, ny = probs0.shape
         space = _ParamSpace(nx, ny, d, mixed)
         flat0 = np.asarray(states0, dtype=complex).reshape(nx * ny, d, d)
-        f = _ProbeObjective(kstack, space, combine, reads)
+        f = _ProbeObjective(ch, space, combine, reads)
         theta0 = space.encode(np.asarray(probs0, dtype=float), flat0)
         v0 = f(theta0[None])[0]
         budget_a = max(2 * space.nb, int(0.4 * budget))

@@ -60,6 +60,11 @@ class TestDephasing:
         with pytest.raises(ValueError):
             make_dephasing(1.5)
 
+    def test_apply_rejects_non_finite_input(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="rho has a non-finite entry"):
+                make_dephasing(0.2).apply([[bad, 0], [0, 1]])
+
 
 class TestErasure:
     def test_eps0_embeds(self, rng):
@@ -206,12 +211,19 @@ class TestEvolve:
             ch = random_kraus_channel(rng, *ch)
         count = data.draw(st.integers(1, 6), label="inputs")
         rhos = np.array([random_density(rng, ch.dim_in) for _ in range(count)])
-        rho_b, rho_e = branch_outputs(ch.kraus_stack, rhos)
+        rho_b, rho_e = branch_outputs(ch, rhos)
         for n, rho in enumerate(rhos):
             want_b, want_e = evolve(ch, rho)
             assert np.abs(rho_b[n] - want_b).max() < 1e-12
             assert np.abs(rho_e[n] - want_e).max() < 1e-12
             assert np.abs(ch.apply(rho) - want_b).max() < 1e-12
+        # every row of a batch, contiguous or reversed, is bitwise its input sent alone
+        for stack in (rhos, rhos[::-1]):
+            rho_b, rho_e = branch_outputs(ch, stack)
+            for n in range(count):
+                alone_b, alone_e = branch_outputs(ch, stack[n:n + 1])
+                assert rho_b[n].tobytes() == alone_b[0].tobytes()
+                assert rho_e[n].tobytes() == alone_e[0].tobytes()
 
 
 class TestTensorChannels:

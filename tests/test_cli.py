@@ -234,6 +234,18 @@ class TestBadArguments:
         assert res.returncode == 2
         assert res.stderr == "error: 'dim_in' must be a positive integer, got None\n"
 
+    def test_malformed_seed_variable(self):
+        res = run_cli("formula", "--channel", "dephasing", "--p", "0.2",
+                      env_extra={"TRADEOFF_SEED": "abc"})
+        assert res.returncode == 2
+        assert res.stderr == "error: TRADEOFF_SEED must be an integer, got 'abc'\n"
+        assert res.stdout == ""
+
+    def test_bad_search_budget_is_named(self):
+        res = run_cli("formula", "--channel", "dephasing", "--p", "0.2", "--restarts", "0")
+        assert res.returncode == 2
+        assert res.stderr == "error: search restarts must be at least 1, got 0\n"
+
     def test_unknown_channel(self):
         res = run_cli("region", "--channel", "amplitude", "--out", "/tmp/x.csv")
         assert res.returncode == 2

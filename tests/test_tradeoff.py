@@ -208,6 +208,28 @@ class TestObjective:
                 TradeoffWeights(0.0, bad)
 
 
+class TestSearchConfig:
+    def test_bad_field_is_named(self):
+        for kwargs, message in (
+            ({"seed": 1.7}, "seed must be an integer, got 1.7"),
+            ({"seed": "3"}, "seed must be an integer, got '3'"),
+            ({"restarts": True}, "restarts must be an integer, got True"),
+            ({"restarts": 0}, "restarts must be at least 1, got 0"),
+            ({"iters": float("nan")}, "iters must be an integer, got nan"),
+            ({"iters": -2}, "iters must be at least 1, got -2"),
+            ({"nx": float("inf")}, "nx must be an integer, got inf"),
+            ({"nx": 0}, "nx must be at least 1, got 0"),
+            ({"ny": 2.0}, "ny must be an integer, got 2.0"),
+        ):
+            with pytest.raises(ValueError, match=f"search {message}$"):
+                SearchConfig(**kwargs)
+
+    def test_smallest_config_runs(self):
+        # any integer seed, numpy integers, and budgets of 1
+        cfg = SearchConfig(seed=-3, restarts=np.int64(1), iters=1, nx=1, ny=None)
+        assert 0.0 <= holevo_capacity(make_dephasing(0.2), cfg) <= 1.0
+
+
 class TestMaximizeP:
     def test_identity_reaches_two(self):
         v, _ = maximize_p(make_identity(2), TradeoffWeights(1.0, 0.0), FAST)
@@ -428,9 +450,9 @@ class TestInternals:
                     probs[0] /= probs[0].sum()
                 states = np.array([[random_density(rng, d) for _ in range(nx * ny)]
                                    for _ in range(rows)])
-                batch = _bundle(ch.kraus_stack, probs, states)
+                batch = _bundle(ch, probs, states)
                 for r in range(rows):
-                    alone = _bundle(ch.kraus_stack, probs[r:r + 1], states[r:r + 1])
+                    alone = _bundle(ch, probs[r:r + 1], states[r:r + 1])
                     for f in fields(batch):
                         assert np.array_equal(getattr(batch, f.name)[r],
                                               getattr(alone, f.name)[0]), f.name
@@ -461,12 +483,12 @@ class TestInternals:
         if nx > 1 and data.draw(st.booleans(), label="zero-weight x"):
             theta0[:ny] = 0.0
         reads = data.draw(st.sets(st.sampled_from(sorted(_ALL_FIELDS)), min_size=1), label="reads")
-        objective = _ProbeObjective(ch.kraus_stack, space, lambda ev: ev, reads)
+        objective = _ProbeObjective(ch, space, lambda ev: ev, reads)
         points = [theta0]
         stack = theta0[None]
         for _ in range(data.draw(st.integers(1, 5), label="calls")):
             got = objective(stack)
-            want = _bundle(ch.kraus_stack, *space.decode(stack))
+            want = _bundle(ch, *space.decode(stack))
             for f in fields(want):
                 if f.name in reads:
                     assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
@@ -489,11 +511,11 @@ class TestInternals:
         # the searches, and every ascent of every restart in them, return what
         # evaluating every branch of every probe returns
         class EveryBranch:
-            def __init__(self, kstack, space, combine, reads):  # evaluates every field
-                self.kstack, self.space, self.combine = kstack, space, combine
+            def __init__(self, ch, space, combine, reads):  # evaluates every field
+                self.ch, self.space, self.combine = ch, space, combine
 
             def __call__(self, theta):
-                return self.combine(_bundle(self.kstack, *self.space.decode(theta)))
+                return self.combine(_bundle(self.ch, *self.space.decode(theta)))
 
         out = []
 
@@ -562,7 +584,7 @@ class TestInternals:
         space = _ParamSpace(2, 2, 2, mixed=True)
 
         def bundle(theta):
-            return objective_p(_bundle(ch.kraus_stack, *space.decode(theta)), w)
+            return objective_p(_bundle(ch, *space.decode(theta)), w)
 
         def nan_above(theta):
             v = bundle(theta)
