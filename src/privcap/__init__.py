@@ -4,6 +4,7 @@ and secret key over small quantum channels."""
 from .channels import (
     KrausChannel,
     channel_document,
+    dag,
     is_antidegradable_label,
     load_channel,
     make_cloning,
@@ -11,9 +12,9 @@ from .channels import (
     make_erasure,
     make_identity,
     tensor_channels,
+    tensor_product,
 )
 from .entropy import binary_entropy, entropy_from_eigenvalues
-from .linalg import dag, tensor_product
 from .regions import (
     BoundTriple,
     BoundaryFamily,

@@ -1,26 +1,37 @@
 """Kraus channels: constructors, JSON documents, tensoring, and the channel action.
 
 A channel is a list of Kraus operators A_k with sum_k A_k† A_k = I.
-``branch_outputs`` is its one action on a stack of inputs: the output
-(Bob) state sum_k A_k rho A_k† and the complementary environment (Eve)
-state rho_e[k, l] = Tr(A_k rho A_l†), whose basis is the Kraus index.
-Both are linear in rho, so each channel builds their transfer
-(Liouville) matrices once, and the action is one matmul per system of
-the flattened inputs: rho_b = vec(rho) @ S_B and rho_e = vec(rho) @ S_E.
+``branch_outputs`` is its one action on a stack of inputs, on one system
+at a time: the output (Bob) state sum_k A_k rho A_k† on "B", or the
+complementary environment (Eve) state rho_e[k, l] = Tr(A_k rho A_l†),
+whose basis is the Kraus index, on "E".  Both are linear in rho, so each
+channel builds their transfer (Liouville) matrices once, and the action
+is one matmul of the flattened inputs: rho_b = vec(rho) @ S_B and
+rho_e = vec(rho) @ S_E.  In a tensor product the first factor carries
+the most significant index.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dag, tensor_product
-
 KRAUS_COMPLETENESS_TOL = 1e-9
+
+
+def dag(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(a).conj().T
+
+
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with the first argument as the most significant factor."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -33,8 +44,7 @@ class KrausChannel:
     label: str = "custom"
     params: tuple = ()
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _transfer_b: np.ndarray = field(init=False, repr=False, compare=False)
-    _transfer_e: np.ndarray = field(init=False, repr=False, compare=False)
+    _transfers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.array(a, dtype=complex) for a in self.kraus)
@@ -70,15 +80,16 @@ class KrausChannel:
             # S_E in Fortran order)
             flat = a.reshape(len(a), m * din)
             s = (flat.T @ flat.conj()).reshape(m, din, m, din)
-            return s.transpose(1, 3, 0, 2).reshape(din * din, m * m)
+            s = s.transpose(1, 3, 0, 2).reshape(din * din, m * m)
+            s.setflags(write=False)
+            return s, m
 
-        # S_B sums over the Kraus index, S_E[(o, p), (k, l)] over the output index
-        transfer_b = transfer(stack, self.dim_out)
-        transfer_e = transfer(stack.transpose(1, 0, 2), len(ops))
-        for name, arr in (("_stack", stack), ("_transfer_b", transfer_b),
-                          ("_transfer_e", transfer_e)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        # per system, the transfer matrix and the output size: S_B sums over
+        # the Kraus index, S_E[(o, p), (k, l)] over the output index
+        object.__setattr__(self, "_transfers", {"B": transfer(stack, self.dim_out),
+                                               "E": transfer(stack.transpose(1, 0, 2), len(ops))})
 
     @property
     def kraus_stack(self) -> np.ndarray:
@@ -96,23 +107,21 @@ class KrausChannel:
             raise ValueError(f"input shape {rho.shape}, expected ({self.dim_in}, {self.dim_in})")
         if not np.isfinite(rho).all():
             raise ValueError("input state rho has a non-finite entry")
-        return branch_outputs(self, rho[None])[0][0]
+        return branch_outputs(self, rho[None], "B")[0]
 
 
-def branch_outputs(ch: KrausChannel, states: np.ndarray):
-    """Output and environment states of a stack of inputs rho_n.
+def branch_outputs(ch: KrausChannel, states: np.ndarray, system: str) -> np.ndarray:
+    """The images on one system of a stack of (n, dim_in, dim_in) inputs rho_n:
+    rho_b[n] = sum_k A_k rho_n A_k† for system "B", or the complementary
+    output rho_e[n][k, l] = Tr(A_k rho_n A_l†) for "E".
 
-    Returns (rho_b, rho_e) with rho_b[n] = sum_k A_k rho_n A_k† and
-    rho_e[n][k, l] = Tr(A_k rho_n A_l†), the complementary-channel output.
-    Each is a stacked (n, 1, dim_in**2) @ (dim_in**2, m) product, which
-    runs one BLAS vector-matrix product per input, so every output is
-    bitwise that of its input sent alone.
+    One stacked (n, 1, dim_in**2) @ (dim_in**2, m) product, which runs
+    one BLAS vector-matrix product per input, so every output is bitwise
+    that of its input sent alone.
     """
+    transfer, m = ch._transfers[system]
     n = len(states)
-    flat = states.reshape(n, 1, ch.dim_in * ch.dim_in)
-    rho_b = np.matmul(flat, ch._transfer_b).reshape(n, ch.dim_out, ch.dim_out)
-    rho_e = np.matmul(flat, ch._transfer_e).reshape(n, ch.num_kraus, ch.num_kraus)
-    return rho_b, rho_e
+    return np.matmul(states.reshape(n, 1, ch.dim_in * ch.dim_in), transfer).reshape(n, m, m)
 
 
 def make_dephasing(p: float) -> KrausChannel:
@@ -158,9 +167,7 @@ def make_cloning(n: int) -> KrausChannel:
     (1/sqrt(D_N)) (sqrt(N-i) |i⟩⟨0| + sqrt(i+1) |i+1⟩⟨1|) with D_N = N(N+1)/2.
     N=1 reduces to the identity qubit channel.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"cloning N must be a positive integer, got {n}")
+    n = cloning_n(n)
     delta = n * (n + 1) / 2.0
     kraus = []
     for i in range(n):
@@ -169,6 +176,14 @@ def make_cloning(n: int) -> KrausChannel:
         a[i + 1, 1] = np.sqrt(i + 1)
         kraus.append(a / np.sqrt(delta))
     return KrausChannel(2, n + 1, tuple(kraus), label="cloning", params=(float(n),))
+
+
+def cloning_n(n) -> int:
+    """The N of a 1->N cloner as an int; N must be a positive integer (or a float of one)."""
+    if (type(n) is bool or not isinstance(n, numbers.Real)
+            or not (1 <= n < math.inf and n == int(n))):
+        raise ValueError(f"cloning N must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def make_identity(dim: int = 2) -> KrausChannel:

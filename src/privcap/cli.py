@@ -82,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_channel_flags(formula)
     formula.add_argument("--lambda", dest="lam", type=float, default=0.0)
     formula.add_argument("--mu", type=float, default=0.0)
-    formula.add_argument("--restarts", type=int, default=None,
+    formula.add_argument("--restarts", type=int, default=SearchConfig.restarts,
                          help=f"search restarts (default {SearchConfig.restarts})")
-    formula.add_argument("--iters", type=int, default=None,
+    formula.add_argument("--iters", type=int, default=SearchConfig.iters,
                          help="per-restart budget: one evaluation of the start, then "
                          f"at most 2*ITERS coordinate probes (default {SearchConfig.iters})")
 
@@ -195,12 +195,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_formula(args) -> int:
-    defaults = SearchConfig()
-    cfg = SearchConfig(
-        seed=_seed_of(args),
-        restarts=args.restarts if args.restarts is not None else defaults.restarts,
-        iters=args.iters if args.iters is not None else defaults.iters,
-    )
+    cfg = SearchConfig(seed=_seed_of(args), restarts=args.restarts, iters=args.iters)
     w = TradeoffWeights(args.lam, args.mu)
     ch = _channel_of(args)
     numeric, _ = maximize_p(ch, w, cfg)

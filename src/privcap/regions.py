@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import KrausChannel, tensor_channels
+from .channels import KrausChannel, cloning_n, tensor_channels
 from .entropy import binary_entropy, entropy_from_eigenvalues
 from .tradeoff import (
     CqEvaluation,
@@ -120,6 +120,9 @@ def corner_from_cq(ev: CqEvaluation) -> RateTriple:
 
 def dephasing_gamma(nu: float, p: float) -> float:
     """Spectral parameter 1/2 + 1/2 sqrt(1 - 16 (p/2)(1 - p/2) nu (1 - nu))."""
+    for name, value in (("nu", nu), ("p", p)):
+        if not math.isfinite(value):
+            raise ValueError(f"dephasing_gamma {name} must be finite, got {value}")
     inner = 1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * nu * (1.0 - nu)
     return 0.5 + 0.5 * math.sqrt(max(inner, 0.0))
 
@@ -136,9 +139,7 @@ def dephasing_bounds(p: float, nu: float) -> BoundTriple:
 
 def cloning_spectra(n: int, mu_clone: float):
     """Output and environment spectra {lam_i/D_N}, {eta_i/D_N} of the cloning boundary."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("cloning N must be a positive integer")
+    n = cloning_n(n)
     if not 0.0 <= mu_clone <= 0.5:
         raise ValueError(f"boundary parameter mu_clone = {mu_clone} outside [0, 1/2]")
     delta = n * (n + 1) / 2.0
@@ -151,7 +152,7 @@ def cloning_spectra(n: int, mu_clone: float):
 
 def cloning_rp_constant(n: int) -> float:
     """1 - log2 N + (1/D_N) sum_i i log2 i, the parameter-free first bound."""
-    n = int(n)
+    n = cloning_n(n)
     delta = n * (n + 1) / 2.0
     s = sum(i * math.log2(i) for i in range(2, n + 1))
     return 1.0 - math.log2(n) + s / delta
@@ -178,6 +179,8 @@ def erasure_bounds(eps: float, p: float) -> BoundTriple:
 
 def eb_bounds(holevo: float) -> BoundTriple:
     """(C, 0, C) for an entanglement-breaking channel with Holevo capacity C."""
+    if not math.isfinite(holevo):
+        raise ValueError(f"Holevo value must be finite, got {holevo}")
     return BoundTriple(0.0, holevo, 0.0, holevo)
 
 
@@ -195,7 +198,8 @@ def erasure_family(eps: float) -> BoundaryFamily:
 
 
 def eb_family(holevo: float) -> BoundaryFamily:
-    return BoundaryFamily("eb", "none", 0.0, 0.0, lambda _t: eb_bounds(holevo))
+    bounds = eb_bounds(holevo)
+    return BoundaryFamily("eb", "none", 0.0, 0.0, lambda _t: bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 trade-off objectives with their ensemble-search maximizers.
 
 An ensemble assigns a joint probability p(x, y) and a channel-input
-density matrix rho_{x,y} to each pair of classical indices.  The channel
-action ``channels.branch_outputs`` sends every branch to its conditional
-output (Bob) state sum_k A_k rho A_k† and environment (Eve) state
-rho_e[k, l] = Tr(A_k rho A_l†); all entropic quantities are evaluated
-from those.  Because X and Y are classical,
-conditional entropies are probability-weighted sums of branch entropies.
+density matrix rho_{x,y} to each pair of classical indices.  Every
+entropy is that of the output (Bob) or environment (Eve) image of a
+branch state, a conditional state rho_x = sum_y p(y|x) rho_{x,y}, or
+the average state.  The channel is linear, so those states are mixed
+from the inputs, and ``channels.branch_outputs`` acts once per system
+read.  Because X and Y are classical, conditional entropies are
+probability-weighted sums of branch entropies.
 
 The searches are deterministic given the configuration seed: restart
 seeds are pre-assigned per restart index from one xorshift64* stream,
@@ -221,17 +222,16 @@ def _solve(stacks: dict) -> dict:
 def _evaluate(ch: KrausChannel, probs: np.ndarray, inputs, reads, kept=None, changed=None):
     """The fields ``reads`` of R ensembles of one alphabet shape, the others None.
 
-    States, then spectra, then sums.  ``probs`` is (R, nx, ny) and
-    ``inputs`` holds the (n, d, d) input states of the branches to send
-    through the channel: all R*nx*ny in row order, or, given ``kept``
-    (an earlier call's per-branch results, gathered by row), those the
-    (R, nx*ny) mask ``changed`` flags; None when it flags none.  Returns
-    the evaluation and the per-branch results a later call may keep.
-    A row's fields do not depend on the other rows, bit for bit.
+    ``probs`` is (R, nx, ny) and ``inputs`` holds the (n, d, d) input
+    states of the branches to evaluate: all R*nx*ny in row order, or,
+    given ``kept`` (an earlier call's per-branch inputs and entropies,
+    gathered by row), those the (R, nx*ny) mask ``changed`` flags; None
+    when it flags none.  Mixing in the input space, then one channel pass
+    per system read, then spectra, then sums.  Returns the evaluation and
+    the inputs and entropies a later call may keep.  A row's fields do
+    not depend on the other rows, bit for bit.
     """
     rows, nx, ny = probs.shape
-    fresh = (None,) * 3 if inputs is None else branch_outputs(ch, inputs) + (inputs,)
-    stacks = {_STACKS[s][2]: part for s, part in enumerate(fresh) if part is not None}
     branch = {}
 
     def keep(key, part):
@@ -240,22 +240,23 @@ def _evaluate(ch: KrausChannel, probs: np.ndarray, inputs, reads, kept=None, cha
             branch[key][changed] = part
         return branch[key]
 
-    # mixing step, one pass per matrix size with B and E of one size stacked as
-    # rows; where p(x) = 0 the conditional state is a zero-weight placeholder
-    mixed = {s: keep(s, fresh[s]) for s in (0, 1) if reads & set(_STACKS[s][:2])}
-    for d in {states.shape[-1] for states in mixed.values()}:
-        group = [s for s, states in mixed.items() if states.shape[-1] == d]
-        p, states = _joined([probs] * len(group)), _joined([mixed[s] for s in group])
-        p_x = p.sum(axis=2)
-        summed = np.einsum("bxy,bxyij->bxij", p, states.reshape(p.shape + (d, d)))
-        safe = (p_x > PROB_FLOOR)[..., None, None]
-        cond = np.where(safe, summed / np.where(safe, p_x[..., None, None], 1.0), np.eye(d) / d)
-        avg = _expect(p.reshape(len(p), -1), states)
-        for k, s in enumerate(group):
-            stacks[_STACKS[s][0]] = avg[k * rows:(k + 1) * rows]
-            stacks[_STACKS[s][1]] = cond[k * rows:(k + 1) * rows].reshape(-1, d, d)
-    solved = _solve({name: s for name, s in stacks.items() if name in reads})
+    # mixing step, in the input space; where p(x) = 0 the conditional input
+    # is a zero-weight placeholder
+    states, d = keep("inputs", inputs), ch.dim_in
     p_x = probs.sum(axis=2)
+    safe = (p_x > PROB_FLOOR)[..., None, None]
+    summed = np.einsum("bxy,bxyij->bxij", probs, states.reshape(probs.shape + (d, d)))
+    cond = np.where(safe, summed / np.where(safe, p_x[..., None, None], 1.0), np.eye(d) / d)
+    columns = (_expect(probs.reshape(rows, -1), states), cond.reshape(-1, d, d), inputs)
+    stacks = {}
+    for names, system in zip(_STACKS, ("B", "E", None)):  # channel step
+        read = [(name, c) for name, c in zip(names, columns) if name in reads and c is not None]
+        if read:
+            out, start = _joined([c for _, c in read]), 0
+            out = out if system is None else branch_outputs(ch, out, system)
+            for name, c in read:
+                stacks[name], start = out[start:start + len(c)], start + len(c)
+    solved = _solve(stacks)
     w_x = np.where(p_x > PROB_FLOOR, p_x, 0.0)
     ev = dict.fromkeys(_ALL_FIELDS)
     for h, h_x, h_xy in _STACKS:  # sums step
@@ -408,10 +409,11 @@ class _ProbeObjective:
     ``combine(_bundle(ch, *space.decode(theta)))`` would give it.  Only
     the fields in ``reads`` are evaluated, the ones ``combine`` reads.
 
-    It keeps the per-branch results of its last call.  Each candidate is
-    diffed against the nearest of those rows, branch slice by branch
-    slice; only the branches whose slice changed are decoded and sent
-    through the channel, in one batched call, and the others are copied.
+    It keeps the branch inputs and branch entropies of its last call.
+    Each candidate is diffed against the nearest of those rows, branch
+    slice by branch slice; only the branches whose slice changed are
+    decoded and sent through the channel, in one batched call, and the
+    others are copied.
     A coordinate probe changes no branch (a probability) or one (a
     state), and an unchanged slice decodes to the bitwise same branch, so
     every value is exact.
@@ -420,7 +422,7 @@ class _ProbeObjective:
     def __init__(self, ch: KrausChannel, space: _ParamSpace, combine, reads):
         self.ch, self.space, self.combine, self.reads = ch, space, combine, reads
         self.slices = None  # (spp, m, nb) bit patterns of the last call's rows
-        self.kept = None  # their per-branch results, by row and branch
+        self.kept = None  # their branch inputs and entropies, by row and branch
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         space = self.space
@@ -611,8 +613,8 @@ def cq_tradeoff_f(ch: KrausChannel, mu: float, cfg: SearchConfig | None = None) 
     Only the reduced input state of each branch matters, so the search
     runs directly over mixed conditional inputs.
     """
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and non-negative, got {mu}")
     return _run_search(ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * (ev.h_b_x - ev.h_e_x),
                        {"h_b", "h_b_x", "h_e_x"}, cfg, ny_forced=1)[0]
 
@@ -620,8 +622,8 @@ def cq_tradeoff_f(ch: KrausChannel, mu: float, cfg: SearchConfig | None = None) 
 def public_private_tradeoff(ch: KrausChannel, mu: float,
                             cfg: SearchConfig | None = None) -> float:
     """Public-private trade-off value P_mu = max I(X;B) + (1+mu)[I(Y;B|X) - I(Y;E|X)]."""
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and non-negative, got {mu}")
     return _run_search(ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * region_quantities(ev).ps,
                        _REGION_READS, cfg)[0]
 
@@ -654,6 +656,8 @@ def antidegradable_value(ch: KrausChannel, w: TradeoffWeights, holevo: float) ->
 
     Warns when the channel label does not mark it antidegradable.
     """
+    if not math.isfinite(holevo):
+        raise ValueError(f"Holevo value must be finite, got {holevo}")
     warn_if_not_antidegradable(ch)
     return (1.0 + w.mu) * holevo
 

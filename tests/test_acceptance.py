@@ -26,6 +26,7 @@ from privcap import (
     cloning_family,
     cloning_spectra,
     corner_from_cq,
+    dag,
     dephasing_bounds,
     dephasing_family,
     eb_bounds,
@@ -46,7 +47,6 @@ from privcap import (
     unit_matrix_inverse_check,
 )
 from privcap.entropy import binary_entropy
-from privcap.linalg import dag
 from privcap.verify import SUITE_NAMES
 from conftest import random_density, random_ensemble, random_unitary
 from oracles import partial_trace, von_neumann_entropy

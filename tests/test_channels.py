@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from privcap import (
     tensor_product,
 )
 from privcap.channels import branch_outputs
-from privcap.regions import dephasing_gamma
+from privcap.regions import cloning_rp_constant, cloning_spectra, dephasing_gamma
 from privcap.entropy import binary_entropy
 from conftest import random_density, random_pure_density, random_unitary
 from oracles import evolve, isometric_extension, partial_trace, von_neumann_entropy
@@ -99,6 +101,16 @@ class TestCloning:
 
     def test_n2_completeness(self):
         assert completeness_deficit(make_cloning(2)) < 1e-12
+
+    def test_non_integer_n_is_named(self):
+        # N counts clones: a fractional, non-finite or non-numeric N is
+        # refused by name, and a float of an integer is that integer
+        assert np.array_equal(make_cloning(10.0).kraus_stack, make_cloning(10).kraus_stack)
+        assert cloning_rp_constant(10.0) == cloning_rp_constant(10)
+        for bad in (2.7, math.nan, math.inf, 0, -3, "3", True):
+            for build in (make_cloning, cloning_rp_constant, lambda n: cloning_spectra(n, 0.25)):
+                with pytest.raises(ValueError, match="cloning N must be a positive integer"):
+                    build(bad)
 
     def test_n10_support(self):
         out = make_cloning(10).apply(np.eye(2, dtype=complex) / 2)
@@ -211,7 +223,7 @@ class TestEvolve:
             ch = random_kraus_channel(rng, *ch)
         count = data.draw(st.integers(1, 6), label="inputs")
         rhos = np.array([random_density(rng, ch.dim_in) for _ in range(count)])
-        rho_b, rho_e = branch_outputs(ch, rhos)
+        rho_b, rho_e = branch_outputs(ch, rhos, "B"), branch_outputs(ch, rhos, "E")
         for n, rho in enumerate(rhos):
             want_b, want_e = evolve(ch, rho)
             assert np.abs(rho_b[n] - want_b).max() < 1e-12
@@ -219,11 +231,11 @@ class TestEvolve:
             assert np.abs(ch.apply(rho) - want_b).max() < 1e-12
         # every row of a batch, contiguous or reversed, is bitwise its input sent alone
         for stack in (rhos, rhos[::-1]):
-            rho_b, rho_e = branch_outputs(ch, stack)
-            for n in range(count):
-                alone_b, alone_e = branch_outputs(ch, stack[n:n + 1])
-                assert rho_b[n].tobytes() == alone_b[0].tobytes()
-                assert rho_e[n].tobytes() == alone_e[0].tobytes()
+            for system in ("B", "E"):
+                out = branch_outputs(ch, stack, system)
+                for n in range(count):
+                    alone = branch_outputs(ch, stack[n:n + 1], system)
+                    assert out[n].tobytes() == alone[0].tobytes()
 
 
 class TestTensorChannels:

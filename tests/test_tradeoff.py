@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import fields
 from functools import partial
@@ -15,6 +16,9 @@ from privcap import (
     additivity_gap,
     antidegradable_value,
     cq_tradeoff_f,
+    dephasing_gamma,
+    eb_bounds,
+    eb_family,
     evaluate_ensemble,
     holevo_capacity,
     make_cloning,
@@ -32,6 +36,7 @@ from privcap import (
     tensor_ensembles,
     tensor_product,
 )
+from privcap.channels import branch_outputs
 from privcap.entropy import binary_entropy
 from privcap.search import coordinate_ascent
 from privcap.tradeoff import (
@@ -206,6 +211,21 @@ class TestObjective:
                 TradeoffWeights(bad, 0.0)
             with pytest.raises(ValueError, match="mu"):
                 TradeoffWeights(0.0, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name, call", [
+        ("mu", lambda v: cq_tradeoff_f(make_dephasing(0.2), v)),
+        ("mu", lambda v: public_private_tradeoff(make_dephasing(0.2), v)),
+        ("Holevo", eb_bounds),
+        ("Holevo", eb_family),
+        ("Holevo", lambda v: antidegradable_value(make_erasure(0.7), TradeoffWeights(1, 0), v)),
+        ("nu", lambda v: dephasing_gamma(v, 0.2)),
+        ("p", lambda v: dephasing_gamma(0.25, v)),
+    ], ids=["cq_tradeoff_f", "public_private_tradeoff", "eb_bounds", "eb_family",
+            "antidegradable_value", "dephasing_gamma-nu", "dephasing_gamma-p"])
+    def test_non_finite_input_is_named(self, name, call, bad):
+        with pytest.raises(ValueError, match=f"{name} .*must be finite"):
+            call(bad)
 
 
 class TestSearchConfig:
@@ -456,6 +476,42 @@ class TestInternals:
                     for f in fields(batch):
                         assert np.array_equal(getattr(batch, f.name)[r],
                                               getattr(alone, f.name)[0]), f.name
+
+    def test_channel_step_computes_only_read_systems(self, monkeypatch):
+        # one channel pass per system that a read field names: a Holevo search
+        # reads no environment field and makes no S_E product
+        systems, evaluations = [], []
+
+        def recorded(ch, states, system):
+            systems.append(system)
+            return branch_outputs(ch, states, system)
+
+        def counted(*args, **kwargs):
+            evaluations.append(1)
+            return evaluate(*args, **kwargs)
+
+        evaluate = tradeoff._evaluate
+        monkeypatch.setattr(tradeoff, "branch_outputs", recorded)
+        monkeypatch.setattr(tradeoff, "_evaluate", counted)
+        cfg = SearchConfig(restarts=2, iters=20)
+        holevo_capacity(make_dephasing(1.0), cfg)
+        assert systems == ["B"] * len(evaluations)
+        systems.clear()
+        evaluations.clear()
+        maximize_p(make_dephasing(0.2), TradeoffWeights(1.0, 0.0), cfg)
+        assert systems == ["B", "E"] * len(evaluations)
+
+    def test_probe_cache_holds_inputs_and_entropies(self, rng):
+        # the per-branch cache holds the input states and branch entropies,
+        # nothing of the output or environment size
+        ch = make_cloning(10)
+        space = _ParamSpace(2, 3, ch.dim_in, mixed=True)
+        objective = _ProbeObjective(ch, space, lambda ev: ev, _ALL_FIELDS)
+        objective(rng.uniform(-1.0, 1.0, size=(4, space.size)))
+        assert sorted(objective.kept) == ["h_b_xy", "h_e_xy", "h_in_x", "inputs"]
+        assert objective.kept["inputs"].shape == (4, space.nb, 2, 2)
+        for key in ("h_b_xy", "h_e_xy", "h_in_x"):
+            assert objective.kept[key].shape == (4, space.nb)
 
     def test_solve_is_one_solve_per_stack(self, rng):
         # stacks of sizes 2 (the closed form), 3 and 4 (LAPACK), grouped by
