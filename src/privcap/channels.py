@@ -167,7 +167,7 @@ def make_cloning(n: int) -> KrausChannel:
     (1/sqrt(D_N)) (sqrt(N-i) |i⟩⟨0| + sqrt(i+1) |i+1⟩⟨1|) with D_N = N(N+1)/2.
     N=1 reduces to the identity qubit channel.
     """
-    n = cloning_n(n)
+    n = positive_int(n, "cloning N")
     delta = n * (n + 1) / 2.0
     kraus = []
     for i in range(n):
@@ -178,18 +178,17 @@ def make_cloning(n: int) -> KrausChannel:
     return KrausChannel(2, n + 1, tuple(kraus), label="cloning", params=(float(n),))
 
 
-def cloning_n(n) -> int:
-    """The N of a 1->N cloner as an int; N must be a positive integer (or a float of one)."""
-    if (type(n) is bool or not isinstance(n, numbers.Real)
-            or not (1 <= n < math.inf and n == int(n))):
-        raise ValueError(f"cloning N must be a positive integer, got {n!r}")
-    return int(n)
+def positive_int(value, name: str) -> int:
+    """``value`` as an int; it must be a positive integer (or a float of one)."""
+    if (type(value) is bool or not isinstance(value, numbers.Real)
+            or not (1 <= value < math.inf and value == int(value))):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def make_identity(dim: int = 2) -> KrausChannel:
     """Noiseless channel on ``dim`` levels (single Kraus operator I)."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    dim = positive_int(dim, "identity dim")
     return KrausChannel(dim, dim, (np.eye(dim, dtype=complex),), label="custom")
 
 

@@ -16,7 +16,7 @@ def entropy_from_eigenvalues(w) -> float:
     """-sum(w log2 w) over the trailing axis, with w <= 1e-12 contributing 0."""
     w = np.asarray(w, dtype=float)
     safe = np.maximum(w, WEIGHT_FLOOR)
-    terms = np.where(w > WEIGHT_FLOOR, -w * np.log2(safe), 0.0)
+    terms = np.where(w <= WEIGHT_FLOOR, 0.0, -w * np.log2(safe))  # a NaN weight gives NaN
     return terms.sum(axis=-1)
 
 

@@ -17,13 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import KrausChannel, cloning_n, tensor_channels
+from .channels import KrausChannel, positive_int, tensor_channels
 from .entropy import binary_entropy, entropy_from_eigenvalues
+from .search import XorShift64Star
 from .tradeoff import (
     CqEvaluation,
     SearchConfig,
     TradeoffWeights,
-    derived_config,
     maximize_p,
     tensor_ensembles,
 )
@@ -139,7 +139,7 @@ def dephasing_bounds(p: float, nu: float) -> BoundTriple:
 
 def cloning_spectra(n: int, mu_clone: float):
     """Output and environment spectra {lam_i/D_N}, {eta_i/D_N} of the cloning boundary."""
-    n = cloning_n(n)
+    n = positive_int(n, "cloning N")
     if not 0.0 <= mu_clone <= 0.5:
         raise ValueError(f"boundary parameter mu_clone = {mu_clone} outside [0, 1/2]")
     delta = n * (n + 1) / 2.0
@@ -152,7 +152,7 @@ def cloning_spectra(n: int, mu_clone: float):
 
 def cloning_rp_constant(n: int) -> float:
     """1 - log2 N + (1/D_N) sum_i i log2 i, the parameter-free first bound."""
-    n = cloning_n(n)
+    n = positive_int(n, "cloning N")
     delta = n * (n + 1) / 2.0
     s = sum(i * math.log2(i) for i in range(2, n + 1))
     return 1.0 - math.log2(n) + s / delta
@@ -321,7 +321,7 @@ def additivity_gap(ch: KrausChannel, w: TradeoffWeights,
     ch2 = tensor_channels(ch, ch)
     nx2 = cfg.nx if cfg.nx else ch.dim_in**2
     ny2 = cfg.ny if cfg.ny else ch.dim_in**2
-    cfg2 = replace(derived_config(cfg, 1), nx=nx2, ny=ny2)
+    cfg2 = replace(cfg, seed=XorShift64Star(cfg.seed ^ 0xD1F4).next_u64(), nx=nx2, ny=ny2)
     product = tensor_ensembles(ens1, ens1)
     diag: dict = {}
     v2, _ = maximize_p(ch2, w, cfg2, starts=(product,), diagnostics=diag)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -198,7 +197,7 @@ def _expect(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 # and the channel input; columns: the average state, the conditional states
 # (summed with weights p(x)) and the branch states (weights p(x, y)).
 _STACKS = (("h_b", "h_b_x", "h_b_xy"), ("h_e", "h_e_x", "h_e_xy"), (None, None, "h_in_x"))
-_ALL_FIELDS = frozenset(f.name for f in fields(CqEvaluation))
+_ALL_FIELDS = tuple(f.name for f in fields(CqEvaluation))  # in field order
 
 
 def _joined(arrays: list) -> np.ndarray:
@@ -296,13 +295,25 @@ def region_quantities(ev: CqEvaluation) -> RegionQuantities:
     return RegionQuantities(rp=rp, ps=ps, rps=rp - i_y_e_x)
 
 
-_REGION_READS = {"h_b", "h_b_x", "h_b_xy", "h_e_x", "h_e_xy"}  # what region_quantities reads
+def _linear_form(ev: CqEvaluation, coeffs: dict) -> float | np.ndarray:
+    """sum c * ev.<field> over the non-zero coefficients c, in field order
+    (a loop: ``sum`` compensates Python floats on 3.12+, not arrays)."""
+    value = 0.0
+    for name in _ALL_FIELDS:
+        if coeffs.get(name, 0.0) != 0.0:
+            value = value + coeffs[name] * getattr(ev, name)
+    return value
+
+
+def _p_coeffs(w: TradeoffWeights) -> dict:
+    """rp + lam*ps + mu*rps as coefficients over the seven entropies."""
+    lm = w.lam + w.mu
+    return {"h_b": 1.0 + w.mu, "h_b_x": w.lam, "h_b_xy": -(1.0 + lm), "h_e_x": -lm, "h_e_xy": lm}
 
 
 def objective_p(ev: CqEvaluation, w: TradeoffWeights) -> float | np.ndarray:
     """Weighted trade-off objective rp + lam*ps + mu*rps."""
-    q = region_quantities(ev)
-    return q.rp + w.lam * q.ps + w.mu * q.rps
+    return _linear_form(ev, _p_coeffs(w))
 
 
 def pauli_symmetrize(ens: CqEnsemble) -> CqEnsemble:
@@ -404,10 +415,10 @@ class _ParamSpace:
 
 
 class _ProbeObjective:
-    """The search objective of one restart: ``combine`` of the evaluation
-    of each (k, size) stack of candidates, as
-    ``combine(_bundle(ch, *space.decode(theta)))`` would give it.  Only
-    the fields in ``reads`` are evaluated, the ones ``combine`` reads.
+    """The search objective of one restart: the linear form ``coeffs`` of
+    the evaluation of each (k, size) stack of candidates, as
+    ``_linear_form(_bundle(ch, *space.decode(theta)), coeffs)`` would give
+    it.  Only the fields with a non-zero coefficient are evaluated.
 
     It keeps the branch inputs and branch entropies of its last call.
     Each candidate is diffed against the nearest of those rows, branch
@@ -419,12 +430,17 @@ class _ProbeObjective:
     every value is exact.
     """
 
-    def __init__(self, ch: KrausChannel, space: _ParamSpace, combine, reads):
-        self.ch, self.space, self.combine, self.reads = ch, space, combine, reads
+    def __init__(self, ch: KrausChannel, space: _ParamSpace, coeffs: dict):
+        self.ch, self.space, self.coeffs = ch, space, coeffs
+        self.reads = {name for name, c in coeffs.items() if c != 0.0}  # the fields evaluated
         self.slices = None  # (spp, m, nb) bit patterns of the last call's rows
         self.kept = None  # their branch inputs and entropies, by row and branch
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
+        return _linear_form(self.evaluate(theta), self.coeffs)
+
+    def evaluate(self, theta: np.ndarray) -> CqEvaluation:
+        """The fields read, the others None, of each row of ``theta``."""
         space = self.space
         rows = len(theta)
         cur = np.ascontiguousarray(theta[:, space.nb:]).reshape(rows, space.nb, space.spp)
@@ -442,7 +458,7 @@ class _ProbeObjective:
         ev, self.kept = _evaluate(self.ch, space.decode_probs(theta), inputs, self.reads,
                                   kept, changed)
         self.slices = bits
-        return self.combine(ev)
+        return ev
 
 
 def _basis_state(d: int, index: int) -> np.ndarray:
@@ -495,21 +511,19 @@ def _random_start(rng: XorShift64Star, d: int, nx: int, ny: int, space_mixed: bo
     nb = nx * ny
     probs = 0.5 + rng.uniforms(nb)
     probs = (probs / probs.sum()).reshape(nx, ny)
-    spp = 2 * d * d if space_mixed else 2 * d
-    raw = 2.0 * rng.uniforms(nb * spp) - 1.0
     space = _ParamSpace(nx, ny, d, space_mixed)
+    raw = 2.0 * rng.uniforms(nb * space.spp) - 1.0
     theta = np.concatenate([np.sqrt(probs.reshape(-1)), raw])
     probs, states = space.decode(theta[None])
     return probs[0], states[0]
 
 
-def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray], reads,
-                cfg: SearchConfig | None, *, mixed: bool = True, ny_forced: int | None = None,
-                extra_starts=()):
-    """Random-restart coordinate search over ensembles; deterministic by seed.
+def _run_search(ch: KrausChannel, coeffs: dict, cfg: SearchConfig | None, *, mixed: bool = True,
+                ny_forced: int | None = None, extra_starts=()):
+    """Random-restart coordinate search maximizing the linear form ``coeffs``, seeded.
 
     Each restart's objective (a ``_ProbeObjective``) evaluates the fields
-    ``reads`` (those ``combine`` reads) of a stack of candidate parameter
+    with a non-zero coefficient of a stack of candidate parameter
     vectors in one batched call, recomputing only the branches the probes
     changed; ``coordinate_ascent`` fills the stack with the probes it is
     about to make, which leaves the result as if the probes were made one
@@ -534,7 +548,7 @@ def _run_search(ch: KrausChannel, combine: Callable[[CqEvaluation], np.ndarray],
         nx, ny = probs0.shape
         space = _ParamSpace(nx, ny, d, mixed)
         flat0 = np.asarray(states0, dtype=complex).reshape(nx * ny, d, d)
-        f = _ProbeObjective(ch, space, combine, reads)
+        f = _ProbeObjective(ch, space, coeffs)
         theta0 = space.encode(np.asarray(probs0, dtype=float), flat0)
         v0 = f(theta0[None])[0]
         budget_a = max(2 * space.nb, int(0.4 * budget))
@@ -586,8 +600,7 @@ def maximize_p(ch: KrausChannel, w: TradeoffWeights, cfg: SearchConfig | None = 
     restarts.
     """
     extra = [(e.probs, e.states) for e in starts]
-    val, probs, states, diag = _run_search(ch, lambda ev: objective_p(ev, w), _REGION_READS, cfg,
-                                           extra_starts=extra)
+    val, probs, states, diag = _run_search(ch, _p_coeffs(w), cfg, extra_starts=extra)
     if diagnostics is not None:
         diagnostics.update(diag)
     nx, ny = probs.shape
@@ -597,14 +610,13 @@ def maximize_p(ch: KrausChannel, w: TradeoffWeights, cfg: SearchConfig | None = 
 
 def holevo_capacity(ch: KrausChannel, cfg: SearchConfig | None = None) -> float:
     """max I(X;B) over finite ensembles of pure input states."""
-    return _run_search(ch, lambda ev: ev.h_b - ev.h_b_x, {"h_b", "h_b_x"}, cfg,
-                       mixed=False, ny_forced=1)[0]
+    return _run_search(ch, {"h_b": 1.0, "h_b_x": -1.0}, cfg, mixed=False, ny_forced=1)[0]
 
 
 def private_information(ch: KrausChannel, cfg: SearchConfig | None = None) -> float:
     """max I(X;B) - I(X;E) over finite ensembles of mixed input states."""
-    return _run_search(ch, lambda ev: (ev.h_b - ev.h_b_x) - (ev.h_e - ev.h_e_x),
-                       {"h_b", "h_b_x", "h_e", "h_e_x"}, cfg, ny_forced=1)[0]
+    coeffs = {"h_b": 1.0, "h_b_x": -1.0, "h_e": -1.0, "h_e_x": 1.0}
+    return _run_search(ch, coeffs, cfg, ny_forced=1)[0]
 
 
 def cq_tradeoff_f(ch: KrausChannel, mu: float, cfg: SearchConfig | None = None) -> float:
@@ -615,8 +627,8 @@ def cq_tradeoff_f(ch: KrausChannel, mu: float, cfg: SearchConfig | None = None) 
     """
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and non-negative, got {mu}")
-    return _run_search(ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * (ev.h_b_x - ev.h_e_x),
-                       {"h_b", "h_b_x", "h_e_x"}, cfg, ny_forced=1)[0]
+    coeffs = {"h_b": 1.0, "h_b_x": mu, "h_e_x": -(1.0 + mu)}
+    return _run_search(ch, coeffs, cfg, ny_forced=1)[0]
 
 
 def public_private_tradeoff(ch: KrausChannel, mu: float,
@@ -624,8 +636,9 @@ def public_private_tradeoff(ch: KrausChannel, mu: float,
     """Public-private trade-off value P_mu = max I(X;B) + (1+mu)[I(Y;B|X) - I(Y;E|X)]."""
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and non-negative, got {mu}")
-    return _run_search(ch, lambda ev: (ev.h_b - ev.h_b_x) + (1.0 + mu) * region_quantities(ev).ps,
-                       _REGION_READS, cfg)[0]
+    coeffs = {"h_b": 1.0, "h_b_x": mu, "h_b_xy": -(1.0 + mu), "h_e_x": -(1.0 + mu),
+              "h_e_xy": 1.0 + mu}
+    return _run_search(ch, coeffs, cfg)[0]
 
 
 def quantum_dynamic_d(ch: KrausChannel, w: TradeoffWeights,
@@ -640,15 +653,8 @@ def quantum_dynamic_d(ch: KrausChannel, w: TradeoffWeights,
     I(AX;B) = H(B) + sum_x p(x)[H(rho_x) - H(E)_x] and
     I(A>BX) = sum_x p(x)[H(B)_x - H(E)_x].
     """
-
-    def combine(ev: CqEvaluation) -> np.ndarray:
-        return (
-            ev.h_b + (ev.h_in_x - ev.h_e_x)
-            + w.lam * (ev.h_b_x - ev.h_e_x)
-            + w.mu * (ev.h_b - ev.h_e_x)
-        )
-
-    return _run_search(ch, combine, {"h_b", "h_b_x", "h_e_x", "h_in_x"}, cfg, ny_forced=1)[0]
+    coeffs = {"h_b": 1.0 + w.mu, "h_b_x": w.lam, "h_e_x": -(1.0 + w.lam + w.mu), "h_in_x": 1.0}
+    return _run_search(ch, coeffs, cfg, ny_forced=1)[0]
 
 
 def antidegradable_value(ch: KrausChannel, w: TradeoffWeights, holevo: float) -> float:
@@ -660,9 +666,3 @@ def antidegradable_value(ch: KrausChannel, w: TradeoffWeights, holevo: float) ->
         raise ValueError(f"Holevo value must be finite, got {holevo}")
     warn_if_not_antidegradable(ch)
     return (1.0 + w.mu) * holevo
-
-
-def derived_config(cfg: SearchConfig, salt: int) -> SearchConfig:
-    """A config with a deterministically derived seed (for auxiliary searches)."""
-    rng = XorShift64Star(cfg.seed ^ (0xD1F3 + salt))
-    return replace(cfg, seed=rng.next_u64())

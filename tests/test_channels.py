@@ -132,6 +132,14 @@ class TestCloning:
             make_cloning(0)
 
 
+class TestIdentity:
+    def test_non_integer_dim_is_named(self):
+        assert make_identity(3.0).dim_in == 3
+        for bad in (2.5, math.nan, math.inf, 0, -1, "2", True):
+            with pytest.raises(ValueError, match="identity dim must be a positive integer"):
+                make_identity(bad)
+
+
 class TestIsometricExtension:
     def test_identity_channel(self):
         v = isometric_extension(make_identity(2))

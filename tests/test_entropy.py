@@ -59,6 +59,12 @@ class TestShannonEntropy:
         for tiny in (WEIGHT_FLOOR, WEIGHT_FLOOR / 2, 0.0, -WEIGHT_FLOOR):
             assert entropy_from_eigenvalues([0.5, 0.5, tiny]) == 1.0
 
+    def test_nan_weight_gives_nan(self):
+        # a NaN weight is not below the floor: it propagates, row by row
+        assert np.isnan(entropy_from_eigenvalues([np.nan, 1.0]))
+        got = entropy_from_eigenvalues([[0.5, 0.5], [np.nan, 1.0]])
+        assert got[0] == 1.0 and np.isnan(got[1])
+
     def test_rows_give_per_row_sums(self):
         rows = np.array([[0.25] * 4, [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
         got = entropy_from_eigenvalues(rows)

@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privcap import (
+    CqEnsemble,
     RateTriple,
     SearchConfig,
     TradeoffWeights,
@@ -20,6 +23,7 @@ from privcap import (
     erasure_bounds,
     erasure_family,
     evaluate_ensemble,
+    make_cloning,
     make_dephasing,
     make_erasure,
     membership,
@@ -94,6 +98,32 @@ class TestCorner:
         ens = CqEnsemble(np.array([[1.0]]), np.array([[np.eye(2, dtype=complex) / 2]]))
         q = region_quantities(evaluate_ensemble(make_dephasing(0.2), ens))
         assert max(abs(q.rp), abs(q.ps), abs(q.rps)) < 1e-11
+
+
+def boundary_ensemble(t):
+    """x uniform on {0, 1}, p(y|x) = (t, 1 - t), rho_{x,y} = X^x |y><y| X^x:
+    the ensemble that achieves every closed-form boundary at parameter t."""
+    probs = np.array([[t, 1.0 - t], [t, 1.0 - t]]) / 2.0
+    basis = np.eye(2, dtype=complex)
+    states = np.array([[np.outer(basis[y ^ x], basis[y ^ x]) for y in (0, 1)] for x in (0, 1)])
+    return CqEnsemble(probs, states)
+
+
+@pytest.mark.parametrize("make, bounds, param", [
+    (make_dephasing, dephasing_bounds, st.floats(0.0, 1.0)),
+    (make_erasure, erasure_bounds, st.floats(0.0, 1.0)),
+    (make_cloning, cloning_bounds, st.integers(1, 12)),
+])
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_closed_forms_meet_the_evaluator(make, bounds, param, data):
+    # the evaluator at the achieving ensemble gives the closed-form boundary,
+    # so a search that falls short of a closed form has missed its optimum
+    t = data.draw(st.floats(0.0, 0.5), label="t")
+    a = data.draw(param, label="channel parameter")
+    q = region_quantities(evaluate_ensemble(make(a), boundary_ensemble(t)))
+    b = bounds(a, t)
+    assert (q.rp, q.ps, q.rps) == pytest.approx((b.b_rp, b.b_ps, b.b_rps), abs=1e-12, rel=0)
 
 
 class TestDephasingBounds:

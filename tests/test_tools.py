@@ -1,5 +1,6 @@
 """Smoke tests of ``tools/ab.py``, the interleaved in-process A/B runner."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -30,3 +31,5 @@ def test_a_changed_value_fails(tmp_path):
     out = ab(ROOT, tmp_path)
     assert out.returncode == 1
     assert "MISMATCH round 0" in out.stdout
+    # each mismatch gives the signed change of the value
+    assert re.search(r"change - parent = [+-]\d\.\d{3}e[+-]\d+ \(", out.stdout), out.stdout

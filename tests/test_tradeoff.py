@@ -46,6 +46,7 @@ from privcap.tradeoff import (
     _entropies_psd,
     _expect,
     _ParamSpace,
+    _linear_form,
     _ProbeObjective,
     _solve,
 )
@@ -500,13 +501,18 @@ class TestInternals:
         evaluations.clear()
         maximize_p(make_dephasing(0.2), TradeoffWeights(1.0, 0.0), cfg)
         assert systems == ["B", "E"] * len(evaluations)
+        systems.clear()
+        evaluations.clear()
+        # at zero weights the objective is rp = H(B) - H(B|XY): no S_E product
+        maximize_p(make_dephasing(0.2), TradeoffWeights(0.0, 0.0), cfg)
+        assert systems == ["B"] * len(evaluations)
 
     def test_probe_cache_holds_inputs_and_entropies(self, rng):
         # the per-branch cache holds the input states and branch entropies,
         # nothing of the output or environment size
         ch = make_cloning(10)
         space = _ParamSpace(2, 3, ch.dim_in, mixed=True)
-        objective = _ProbeObjective(ch, space, lambda ev: ev, _ALL_FIELDS)
+        objective = _ProbeObjective(ch, space, dict.fromkeys(_ALL_FIELDS, 1.0))
         objective(rng.uniform(-1.0, 1.0, size=(4, space.size)))
         assert sorted(objective.kept) == ["h_b_xy", "h_e_xy", "h_in_x", "inputs"]
         assert objective.kept["inputs"].shape == (4, space.nb, 2, 2)
@@ -539,11 +545,11 @@ class TestInternals:
         if nx > 1 and data.draw(st.booleans(), label="zero-weight x"):
             theta0[:ny] = 0.0
         reads = data.draw(st.sets(st.sampled_from(sorted(_ALL_FIELDS)), min_size=1), label="reads")
-        objective = _ProbeObjective(ch, space, lambda ev: ev, reads)
+        objective = _ProbeObjective(ch, space, dict.fromkeys(reads, 1.0))
         points = [theta0]
         stack = theta0[None]
         for _ in range(data.draw(st.integers(1, 5), label="calls")):
-            got = objective(stack)
+            got = objective.evaluate(stack)
             want = _bundle(ch, *space.decode(stack))
             for f in fields(want):
                 if f.name in reads:
@@ -567,11 +573,11 @@ class TestInternals:
         # the searches, and every ascent of every restart in them, return what
         # evaluating every branch of every probe returns
         class EveryBranch:
-            def __init__(self, ch, space, combine, reads):  # evaluates every field
-                self.ch, self.space, self.combine = ch, space, combine
+            def __init__(self, ch, space, coeffs):  # evaluates every field
+                self.ch, self.space, self.coeffs = ch, space, coeffs
 
             def __call__(self, theta):
-                return self.combine(_bundle(self.ch, *self.space.decode(theta)))
+                return _linear_form(_bundle(self.ch, *self.space.decode(theta)), self.coeffs)
 
         out = []
 
@@ -608,9 +614,9 @@ class TestInternals:
         # the full evaluation of the ensemble it returns, bit for bit
         runs = []
 
-        def recorded(ch, combine, reads, cfg, **kwargs):
-            out = run_search(ch, combine, reads, cfg, **kwargs)
-            runs.append((ch, combine, out))
+        def recorded(ch, coeffs, cfg, **kwargs):
+            out = run_search(ch, coeffs, cfg, **kwargs)
+            runs.append((ch, coeffs, out))
             return out
 
         run_search = tradeoff._run_search
@@ -625,10 +631,10 @@ class TestInternals:
             public_private_tradeoff(ch, 0.5, cfg)
             quantum_dynamic_d(ch, w, cfg)
         assert len(runs) == 18
-        for ch, combine, (value, probs, states, _) in runs:
+        for ch, coeffs, (value, probs, states, _) in runs:
             nx, ny = probs.shape
             ens = CqEnsemble(probs, states.reshape(nx, ny, ch.dim_in, ch.dim_in))
-            assert repr(float(combine(evaluate_ensemble(ch, ens)))) == repr(value)
+            assert repr(float(_linear_form(evaluate_ensemble(ch, ens), coeffs))) == repr(value)
 
     def test_speculative_ascent_is_one_probe_at_a_time(self, rng, monkeypatch):
         # probes evaluated ahead in batches leave value, point and count of the

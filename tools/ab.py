@@ -14,7 +14,9 @@ with seed = round index and ``SearchConfig(restarts=N)``.
 Prints, per operation, the median CPU seconds of each side and the
 median of the paired ratios parent/change (above 1: the change is
 faster), with the number of rounds the change was faster.  Exits 1 if
-any returned value or ensemble differs between the two sides in any bit.
+any returned value or ensemble differs between the two sides in any bit;
+each such MISMATCH line gives change - parent of the value and whether
+the ensemble bytes differ.
 """
 
 from __future__ import annotations
@@ -54,12 +56,20 @@ def operations(pc):
     }
 
 
-def fingerprint(out) -> str:
-    """repr of the value, and a digest of the ensemble a search returns."""
+def fingerprint(out) -> tuple:
+    """The value, and a digest of the ensemble a search returns (None for a scalar search)."""
     if isinstance(out, tuple):
         value, ens = out
-        return f"{value!r} {hashlib.sha256(ens.probs.tobytes() + ens.states.tobytes()).hexdigest()}"
-    return repr(out)
+        return value, hashlib.sha256(ens.probs.tobytes() + ens.states.tobytes()).hexdigest()
+    return out, None
+
+
+def mismatch(parent: tuple, change: tuple) -> str:
+    """The signed change of a value that differs in some bit, and of its ensemble."""
+    (a, ens_a), (b, ens_b) = parent, change
+    ensemble = "" if ens_a is None else (
+        ", ensemble bytes differ" if ens_a != ens_b else ", ensemble bytes equal")
+    return f"change - parent = {b - a:+.3e} ({a!r} -> {b!r}){ensemble}"
 
 
 def main(argv=None) -> int:
@@ -86,8 +96,8 @@ def main(argv=None) -> int:
                     out = ops[side][op](cfg)
                     times[side, op].append(time.process_time() - t)
                 seen[side] = fingerprint(out)
-            if seen["parent"] != seen["change"]:
-                mismatches.append(f"round {r} {op}: {seen['parent']} != {seen['change']}")
+            if repr(seen["parent"]) != repr(seen["change"]):  # bitwise: NaN equal, -0.0 not 0.0
+                mismatches.append(f"round {r} {op}: {mismatch(seen['parent'], seen['change'])}")
     print(f"{'operation':32s} {'parent s':>9s} {'change s':>9s} {'ratio':>6s}  faster")
     for op in ops["parent"]:
         a, b = times["parent", op], times["change", op]
