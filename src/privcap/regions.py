@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -57,13 +58,17 @@ class BoundTriple:
 
 @dataclass(frozen=True)
 class BoundaryFamily:
-    """A one-parameter generator of BoundTriples over a closed domain."""
+    """A one-parameter generator of BoundTriples over a closed domain.
+
+    ``fn`` broadcasts: a float parameter gives a BoundTriple of floats, an
+    (n,) array of parameters one BoundTriple of (n,) arrays.
+    """
 
     name: str
     param_name: str
     lo: float
     hi: float
-    fn: Callable[[float], BoundTriple]
+    fn: Callable[[float | np.ndarray], BoundTriple]
 
 
 @dataclass(frozen=True)
@@ -116,38 +121,88 @@ def corner_from_cq(ev: CqEvaluation) -> RateTriple:
 # ---------------------------------------------------------------------------
 # Closed-form boundary triples
 # ---------------------------------------------------------------------------
+#
+# Each closed form broadcasts over its boundary parameter: a float gives a
+# BoundTriple of floats, an (n,) grid a BoundTriple of (n,) arrays whose
+# entries are bitwise the float calls, since every array operation is the
+# scalar one in the same order.
 
 
-def dephasing_gamma(nu: float, p: float) -> float:
+def _check_param(name: str, t) -> None:
+    """A boundary parameter in [0, 1/2]: a float by comparison, a grid by its min and max."""
+    lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
+    if not (0.0 <= lo and hi <= 0.5):
+        raise ValueError(f"boundary parameter {name} = {lo if hi <= 0.5 else hi} "
+                         "outside [0, 1/2]")
+
+
+def _check_probability(what: str, value) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} {value} outside [0, 1]")
+
+
+def _family(name: str, param_name: str, bounds: Callable) -> BoundaryFamily:
+    """A family on [0, 1/2] whose fn builds the BoundTriple of the three
+    right-hand sides that ``bounds(t)`` returns.  A grid's range is checked
+    first and its constant sides are broadcast; a float call runs only the
+    formula, since the scans of ``membership`` and ``pareto_point`` stay
+    inside the domain and pay for every call."""
+
+    def fn(t):
+        if not isinstance(t, np.ndarray):
+            b_rp, b_ps, b_rps = bounds(t)
+            return BoundTriple(t, float(b_rp), float(b_ps), float(b_rps))
+        _check_param(param_name, t)
+        return BoundTriple(t, *(b if isinstance(b, np.ndarray) else np.full(t.shape, b)
+                                for b in bounds(t)))
+
+    return BoundaryFamily(name, param_name, 0.0, 0.5, fn)
+
+
+def _gamma(nu, p):
+    inner = 1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * nu * (1.0 - nu)
+    return 0.5 + 0.5 * np.sqrt(np.maximum(inner, 0.0))
+
+
+def dephasing_gamma(nu, p):
     """Spectral parameter 1/2 + 1/2 sqrt(1 - 16 (p/2)(1 - p/2) nu (1 - nu))."""
     for name, value in (("nu", nu), ("p", p)):
-        if not math.isfinite(value):
+        if not np.isfinite(value).all():
             raise ValueError(f"dephasing_gamma {name} must be finite, got {value}")
-    inner = 1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * nu * (1.0 - nu)
-    return 0.5 + 0.5 * math.sqrt(max(inner, 0.0))
+    gamma = _gamma(nu, p)
+    return gamma if isinstance(gamma, np.ndarray) else float(gamma)
 
 
-def dephasing_bounds(p: float, nu: float) -> BoundTriple:
+def _dephasing(p: float, nu):
+    # H2(nu) and H2(gamma) in one call, whose fixed cost dominates a float call
+    h_nu, h_gamma = binary_entropy(np.array([nu, _gamma(nu, p)]))
+    return 1.0, h_nu - h_gamma, 1.0 - h_gamma
+
+
+def dephasing_bounds(p: float, nu) -> BoundTriple:
     """(1, H2(nu) - H2(gamma), 1 - H2(gamma)) for the qubit dephasing channel."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"dephasing probability {p} outside [0, 1]")
-    if not 0.0 <= nu <= 0.5:
-        raise ValueError(f"boundary parameter nu = {nu} outside [0, 1/2]")
-    h_gamma = binary_entropy(dephasing_gamma(nu, p))
-    return BoundTriple(nu, 1.0, binary_entropy(nu) - h_gamma, 1.0 - h_gamma)
+    family = dephasing_family(p)
+    _check_param("nu", nu)
+    return family.fn(nu)
 
 
-def cloning_spectra(n: int, mu_clone: float):
-    """Output and environment spectra {lam_i/D_N}, {eta_i/D_N} of the cloning boundary."""
-    n = positive_int(n, "cloning N")
-    if not 0.0 <= mu_clone <= 0.5:
-        raise ValueError(f"boundary parameter mu_clone = {mu_clone} outside [0, 1/2]")
+def _cloning_spectra(n: int, mu_clone):
     delta = n * (n + 1) / 2.0
+    if isinstance(mu_clone, np.ndarray):  # one spectrum per row
+        mu_clone = mu_clone[..., None]
     i_out = np.arange(n + 1, dtype=float)
     lam = ((n - 2.0 * i_out) * mu_clone + i_out) / delta
     i_env = np.arange(n, dtype=float)
     eta = ((n - 1.0 - 2.0 * i_env) * mu_clone + i_env + 1.0) / delta
     return lam, eta
+
+
+def cloning_spectra(n: int, mu_clone):
+    """Output and environment spectra {lam_i/D_N}, {eta_i/D_N} of the cloning
+    boundary; a grid of mu_clone gives one spectrum per row."""
+    n = positive_int(n, "cloning N")
+    _check_param("mu_clone", mu_clone)
+    return _cloning_spectra(n, mu_clone)
 
 
 def cloning_rp_constant(n: int) -> float:
@@ -158,23 +213,30 @@ def cloning_rp_constant(n: int) -> float:
     return 1.0 - math.log2(n) + s / delta
 
 
-def cloning_bounds(n: int, mu_clone: float) -> BoundTriple:
+def _cloning(n: int, b_rp: float, mu_clone):
+    lam, eta = _cloning_spectra(n, mu_clone)
+    h_lam = entropy_from_eigenvalues(lam)
+    h_eta = entropy_from_eigenvalues(eta)
+    return b_rp, h_lam - h_eta, math.log2(n + 1) - h_eta
+
+
+def cloning_bounds(n: int, mu_clone) -> BoundTriple:
     """Boundary triple of the 1->N cloning channel at input eigenvalue mu_clone."""
-    lam, eta = cloning_spectra(n, mu_clone)
-    h_lam = float(entropy_from_eigenvalues(lam))
-    h_eta = float(entropy_from_eigenvalues(eta))
-    return BoundTriple(mu_clone, cloning_rp_constant(n), h_lam - h_eta,
-                       math.log2(n + 1) - h_eta)
+    family = cloning_family(n)
+    _check_param("mu_clone", mu_clone)
+    return family.fn(mu_clone)
 
 
-def erasure_bounds(eps: float, p: float) -> BoundTriple:
-    """(1-eps, (1-2 eps) H2(p), 1 - eps - eps H2(p)) for the erasure channel."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"erasure probability {eps} outside [0, 1]")
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"boundary parameter p = {p} outside [0, 1/2]")
+def _erasure(eps: float, p):
     h = binary_entropy(p)
-    return BoundTriple(p, 1.0 - eps, (1.0 - 2.0 * eps) * h, 1.0 - eps - eps * h)
+    return 1.0 - eps, (1.0 - 2.0 * eps) * h, 1.0 - eps - eps * h
+
+
+def erasure_bounds(eps: float, p) -> BoundTriple:
+    """(1-eps, (1-2 eps) H2(p), 1 - eps - eps H2(p)) for the erasure channel."""
+    family = erasure_family(eps)
+    _check_param("p", p)
+    return family.fn(p)
 
 
 def eb_bounds(holevo: float) -> BoundTriple:
@@ -184,22 +246,35 @@ def eb_bounds(holevo: float) -> BoundTriple:
     return BoundTriple(0.0, holevo, 0.0, holevo)
 
 
+# A family checks its channel parameter once, when it is built, so that its
+# fn runs only the closed form (and a grid's range check).
+
+
 def dephasing_family(p: float) -> BoundaryFamily:
-    return BoundaryFamily("dephasing", "nu", 0.0, 0.5, lambda nu: dephasing_bounds(p, nu))
+    _check_probability("dephasing probability", p)
+    return _family("dephasing", "nu", partial(_dephasing, p))
 
 
 def cloning_family(n: int) -> BoundaryFamily:
-    return BoundaryFamily("cloning", "mu_clone", 0.0, 0.5,
-                          lambda mu: cloning_bounds(n, mu))
+    n = positive_int(n, "cloning N")
+    return _family("cloning", "mu_clone", partial(_cloning, n, cloning_rp_constant(n)))
 
 
 def erasure_family(eps: float) -> BoundaryFamily:
-    return BoundaryFamily("erasure", "p", 0.0, 0.5, lambda p: erasure_bounds(eps, p))
+    _check_probability("erasure probability", eps)
+    return _family("erasure", "p", partial(_erasure, eps))
 
 
 def eb_family(holevo: float) -> BoundaryFamily:
     bounds = eb_bounds(holevo)
-    return BoundaryFamily("eb", "none", 0.0, 0.0, lambda _t: bounds)
+    fields = (bounds.param, bounds.b_rp, bounds.b_ps, bounds.b_rps)
+
+    def fn(t):  # the one triple at every parameter
+        if isinstance(t, np.ndarray):
+            return BoundTriple(*(np.full(t.shape, f) for f in fields))
+        return bounds
+
+    return BoundaryFamily("eb", "none", 0.0, 0.0, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +282,20 @@ def eb_family(holevo: float) -> BoundaryFamily:
 # ---------------------------------------------------------------------------
 
 
-def sample_boundary(family: BoundaryFamily, grid_size: int) -> list[BoundTriple]:
-    """BoundTriples at uniformly spaced parameters over the family domain."""
+def _grid_size(grid_size) -> int:
+    if type(grid_size) is not int:  # an int skips the slower general check
+        grid_size = positive_int(grid_size, "grid_size")
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    return [family.fn(float(t)) for t in np.linspace(family.lo, family.hi, grid_size)]
+    return grid_size
+
+
+def sample_boundary(family: BoundaryFamily, grid_size: int) -> list[BoundTriple]:
+    """BoundTriples at uniformly spaced parameters over the family domain,
+    from one call of ``family.fn`` on the whole grid."""
+    b = family.fn(np.linspace(family.lo, family.hi, _grid_size(grid_size)))
+    fields = (b.param, b.b_rp, b.b_ps, b.b_rps)
+    return [BoundTriple(*row) for row in zip(*(f.tolist() for f in fields))]
 
 
 def _violations(b: BoundTriple, pt: RateTriple):
@@ -239,9 +323,9 @@ def _scan(family: BoundaryFamily, params, pt: RateTriple):
 def membership(family: BoundaryFamily, point, grid_size: int = 1001) -> MembershipResult:
     """Point-in-region test: true iff some grid parameter satisfies all three
     inequalities within 1e-9; the grid is refined once around near-misses.
-    A non-finite coordinate is rejected."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    A non-finite coordinate is rejected.  The scan calls ``family.fn`` one
+    parameter at a time and stops at the first that holds the point."""
+    grid_size = _grid_size(grid_size)
     pt = point if isinstance(point, RateTriple) else RateTriple(*point)
     for name, rate in (("R", pt.r), ("P", pt.p), ("S", pt.s)):
         if not math.isfinite(rate):
@@ -280,8 +364,9 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float):
 def pareto_point(family: BoundaryFamily, w: TradeoffWeights) -> ParetoPoint:
     """Maximize b_rp + lam*b_ps + mu*b_rps over the boundary parameter.
 
-    A coarse grid brackets the maximum (guarding the unimodality
-    assumption) and golden-section search refines it.
+    A coarse grid, evaluated in one ``family.fn`` call, brackets the
+    maximum (guarding the unimodality assumption) and golden-section
+    search refines it one parameter at a time.
     """
 
     def weighted(t: float) -> float:
@@ -289,13 +374,14 @@ def pareto_point(family: BoundaryFamily, w: TradeoffWeights) -> ParetoPoint:
         return b.b_rp + w.lam * b.b_ps + w.mu * b.b_rps
 
     params = np.linspace(family.lo, family.hi, PARETO_GRID)
-    vals = [weighted(float(t)) for t in params]
+    b = family.fn(params)
+    vals = b.b_rp + w.lam * b.b_ps + w.mu * b.b_rps
     k = int(np.argmax(vals))
     lo = params[max(k - 1, 0)]
     hi = params[min(k + 1, PARETO_GRID - 1)]
     t, v = _golden_max(weighted, float(lo), float(hi))
     if vals[k] > v:
-        t, v = float(params[k]), vals[k]
+        t, v = float(params[k]), float(vals[k])
     return ParetoPoint(v, t, family.fn(t))
 
 

@@ -583,6 +583,9 @@ def _run_search(ch: KrausChannel, coeffs: dict, cfg: SearchConfig | None, *, mix
         if v > best_val:
             best_val, best_probs, best_states = v, probs, states
             diag["budget_exhausted"] = under_converged
+    if best_probs is None:  # every value NaN, e.g. from weights whose sum overflows
+        raise ValueError("no restart gave a finite objective value; "
+                         f"objective coefficients {coeffs}")
     return best_val, best_probs, best_states, diag
 
 

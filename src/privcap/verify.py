@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import make_dephasing, make_erasure
+from .channels import make_cloning, make_dephasing, make_erasure
 from .entropy import binary_entropy
-from .regions import additivity_gap, erasure_bounds, pareto_point, erasure_family, \
-    unit_matrix_inverse_check
+from .regions import additivity_gap, cloning_family, dephasing_family, erasure_bounds, \
+    erasure_family, pareto_point, unit_matrix_inverse_check
 from .search import XorShift64Star
 from .tradeoff import (
     CqEnsemble,
@@ -32,6 +32,7 @@ from .tradeoff import (
 
 
 AFFINE_GRID = 1001  # boundary parameters the erasure-affine suite checks on [0, 1/2]
+MEET_GRID = 11  # boundary parameters at which the closed forms meet the evaluator
 
 
 def _random_qubit_ensemble(rng: XorShift64Star) -> CqEnsemble:
@@ -47,6 +48,32 @@ def _random_qubit_ensemble(rng: XorShift64Star) -> CqEnsemble:
             g = m @ m.conj().T
             states[x, y] = g / np.trace(g).real
     return CqEnsemble(probs, states)
+
+
+def _boundary_ensemble(t: float) -> CqEnsemble:
+    """x uniform on {0, 1}, p(y|x) = (t, 1 - t), rho_{x,y} = X^x |y><y| X^x:
+    the ensemble that achieves the dephasing, erasure and cloning boundaries
+    at parameter t."""
+    probs = np.array([[t, 1.0 - t], [t, 1.0 - t]]) / 2.0
+    basis = np.eye(2, dtype=complex)
+    states = np.array([[np.outer(basis[y ^ x], basis[y ^ x]) for y in (0, 1)] for x in (0, 1)])
+    return CqEnsemble(probs, states)
+
+
+def _closed_forms_meet_evaluator() -> float:
+    """Worst field difference between the closed-form boundary and the
+    evaluated boundary ensemble, over a grid of t in [0, 1/2] for three channels."""
+    grid = np.linspace(0.0, 0.5, MEET_GRID)
+    worst = 0.0
+    for ch, family in ((make_dephasing(0.2), dephasing_family(0.2)),
+                       (make_erasure(0.25), erasure_family(0.25)),
+                       (make_cloning(10), cloning_family(10))):
+        b = family.fn(grid)
+        for i, t in enumerate(grid.tolist()):
+            q = region_quantities(evaluate_ensemble(ch, _boundary_ensemble(t)))
+            worst = max(worst, abs(q.rp - b.b_rp[i]), abs(q.ps - b.b_ps[i]),
+                        abs(q.rps - b.b_rps[i]))
+    return float(worst)
 
 
 def suite_unit_matrix(seed: int = 0):
@@ -65,6 +92,8 @@ def suite_corollaries(seed: int = 0):
         diff = abs(objective_p(ev, TradeoffWeights(0.0, 0.0)) - region_quantities(ev).rp)
         worst = max(worst, diff)
     checks.append(("corollaries/classical-capacity-reduction-exact", worst <= 1e-12, worst))
+    meet = _closed_forms_meet_evaluator()
+    checks.append(("corollaries/closed-forms-meet-evaluator", meet <= 1e-12, meet))
     cfg = SearchConfig(seed=seed)
     pi = private_information(deph, cfg)
     res = abs(pi - 0.5310044064107188)
@@ -128,13 +157,13 @@ def suite_erasure_additivity(seed: int = 0, eps: float = 0.25):
 def suite_erasure_affine(seed: int = 0, eps: float = 0.25):
     b0 = erasure_bounds(eps, 0.0)
     b1 = erasure_bounds(eps, 0.5)
+    grid = np.linspace(0.0, 0.5, AFFINE_GRID)
+    t = binary_entropy(grid)
+    b = erasure_family(eps).fn(grid)
     worst = 0.0
-    for p in np.linspace(0.0, 0.5, AFFINE_GRID):
-        t = binary_entropy(float(p))
-        b = erasure_bounds(eps, float(p))
-        for got, lo, hi in ((b.b_rp, b0.b_rp, b1.b_rp), (b.b_ps, b0.b_ps, b1.b_ps),
-                            (b.b_rps, b0.b_rps, b1.b_rps)):
-            worst = max(worst, abs(got - ((1.0 - t) * lo + t * hi)))
+    for got, lo, hi in ((b.b_rp, b0.b_rp, b1.b_rp), (b.b_ps, b0.b_ps, b1.b_ps),
+                        (b.b_rps, b0.b_rps, b1.b_rps)):
+        worst = max(worst, float(np.abs(got - ((1.0 - t) * lo + t * hi)).max()))
     checks = [(f"erasure-affine/eps-{eps}", worst <= 1e-12, worst)]
     v = pareto_point(erasure_family(eps), TradeoffWeights(0.4, 1.0))
     res = abs(v.value - (1.0 - eps) * 2.0)

@@ -168,6 +168,8 @@ def test_ac06_formula_reductions():
     assert worst <= 1e-12
     checks = verify_suite("corollaries")
     assert checks["corollaries/classical-capacity-reduction-exact"] <= 1e-12
+    # the evaluator at the boundary ensemble meets all three closed forms
+    assert checks["corollaries/closed-forms-meet-evaluator"] <= 1e-12
     # the suite measures from the closed form 0.5310044064107188, not from 0.5310
     pi_res = checks["corollaries/private-capacity-dephasing-0.2"]
     assert pi_res <= 5e-3 - abs(0.5310044064107188 - 0.5310)

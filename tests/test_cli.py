@@ -246,6 +246,14 @@ class TestBadArguments:
         assert res.returncode == 2
         assert res.stderr == "error: search restarts must be at least 1, got 0\n"
 
+    def test_overflowing_weights_are_named(self):
+        # lam + mu overflows, so every objective value is NaN
+        res = run_cli("formula", "--channel", "dephasing", "--p", "0.2", "--lambda", "1e308",
+                      "--mu", "1e308", "--restarts", "2", "--iters", "10")
+        assert res.returncode == 2
+        assert "error: no restart gave a finite objective value" in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
     def test_unknown_channel(self):
         res = run_cli("region", "--channel", "amplitude", "--out", "/tmp/x.csv")
         assert res.returncode == 2

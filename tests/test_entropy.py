@@ -42,6 +42,19 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(1.01)
 
+    def test_array_is_elementwise(self):
+        # a grid gives, at each entry, bitwise the float call's value
+        p = np.concatenate([np.linspace(0.0, 1.0, 257), [-1e-13, 1.0 + 1e-13]]).reshape(7, 37)
+        h = binary_entropy(p)
+        assert h.shape == p.shape
+        assert [repr(x) for x in h.ravel().tolist()] == \
+            [repr(binary_entropy(x)) for x in p.ravel().tolist()]
+
+    @pytest.mark.parametrize("bad", [1.01, -0.2, np.nan])
+    def test_array_domain_names_the_value(self, bad):
+        with pytest.raises(ValueError, match=f"binary_entropy argument {bad} outside"):
+            binary_entropy(np.array([0.3, bad, 0.5]))
+
 
 class TestShannonEntropy:
     """entropy_from_eigenvalues, the kernel every evaluation takes its entropies from."""

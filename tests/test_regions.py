@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privcap import (
-    CqEnsemble,
     RateTriple,
     SearchConfig,
     TradeoffWeights,
@@ -18,6 +17,7 @@ from privcap import (
     corner_from_cq,
     dephasing_bounds,
     dephasing_family,
+    dephasing_gamma,
     eb_bounds,
     eb_family,
     erasure_bounds,
@@ -34,6 +34,7 @@ from privcap import (
 )
 from privcap.entropy import binary_entropy
 from privcap.regions import UNIT_MATRIX, UNIT_MATRIX_INVERSE, matrices_are_inverse
+from privcap.verify import _boundary_ensemble
 from conftest import random_ensemble
 
 OTP = RateTriple(-1.0, 1.0, -1.0)
@@ -100,15 +101,6 @@ class TestCorner:
         assert max(abs(q.rp), abs(q.ps), abs(q.rps)) < 1e-11
 
 
-def boundary_ensemble(t):
-    """x uniform on {0, 1}, p(y|x) = (t, 1 - t), rho_{x,y} = X^x |y><y| X^x:
-    the ensemble that achieves every closed-form boundary at parameter t."""
-    probs = np.array([[t, 1.0 - t], [t, 1.0 - t]]) / 2.0
-    basis = np.eye(2, dtype=complex)
-    states = np.array([[np.outer(basis[y ^ x], basis[y ^ x]) for y in (0, 1)] for x in (0, 1)])
-    return CqEnsemble(probs, states)
-
-
 @pytest.mark.parametrize("make, bounds, param", [
     (make_dephasing, dephasing_bounds, st.floats(0.0, 1.0)),
     (make_erasure, erasure_bounds, st.floats(0.0, 1.0)),
@@ -121,7 +113,7 @@ def test_closed_forms_meet_the_evaluator(make, bounds, param, data):
     # so a search that falls short of a closed form has missed its optimum
     t = data.draw(st.floats(0.0, 0.5), label="t")
     a = data.draw(param, label="channel parameter")
-    q = region_quantities(evaluate_ensemble(make(a), boundary_ensemble(t)))
+    q = region_quantities(evaluate_ensemble(make(a), _boundary_ensemble(t)))
     b = bounds(a, t)
     assert (q.rp, q.ps, q.rps) == pytest.approx((b.b_rp, b.b_ps, b.b_rps), abs=1e-12, rel=0)
 
@@ -312,6 +304,91 @@ class TestSampling:
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):
             sample_boundary(dephasing_family(0.2), 1)
+
+
+FIELDS = ("param", "b_rp", "b_ps", "b_rps")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(family=st.one_of(st.floats(0.0, 1.0).map(dephasing_family),
+                        st.floats(0.0, 1.0).map(erasure_family),
+                        st.integers(1, 40).map(cloning_family),
+                        st.floats(0.0, 2.0).map(eb_family)),
+       grid_size=st.integers(2, 1001))
+def test_grid_rows_are_float_calls(family, grid_size):
+    # one fn call on a grid gives, row by row, bitwise the float calls
+    grid = np.linspace(family.lo, family.hi, grid_size)
+    b = family.fn(grid)
+    assert all(getattr(b, f).shape == (grid_size,) for f in FIELDS)
+    rows = zip(*(getattr(b, f).tolist() for f in FIELDS))
+    for t, row in zip(grid.tolist(), rows):
+        one = family.fn(t)
+        assert [repr(x) for x in row] == [repr(getattr(one, f)) for f in FIELDS]
+
+
+class TestGridCalls:
+    def test_sample_boundary_is_one_call(self):
+        base = dephasing_family(0.2)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return base.fn(t)
+
+        fam = replace(base, fn=counted)
+        assert sample_boundary(fam, 101) == sample_boundary(base, 101)
+        assert len(calls) == 1 and calls[0].shape == (101,)
+        # pareto_point brackets with one grid call, then refines one float at a time
+        calls.clear()
+        assert pareto_point(fam, TradeoffWeights(1.0, 1.0)) == \
+            pareto_point(base, TradeoffWeights(1.0, 1.0))
+        assert isinstance(calls[0], np.ndarray)
+        assert all(type(t) is float for t in calls[1:]) and len(calls) > 1
+
+    def test_public_closed_forms_broadcast(self):
+        grid = np.linspace(0.0, 0.5, 23)
+        gamma = dephasing_gamma(grid, 0.2)
+        lam, eta = cloning_spectra(5, grid)
+        assert lam.shape == (23, 6) and eta.shape == (23, 5)
+        for i, t in enumerate(grid.tolist()):
+            assert repr(gamma[i].item()) == repr(dephasing_gamma(t, 0.2))
+            one_lam, one_eta = cloning_spectra(5, t)
+            assert lam[i].tobytes() == one_lam.tobytes() and eta[i].tobytes() == one_eta.tobytes()
+            for bounds, a in ((dephasing_bounds, 0.2), (erasure_bounds, 0.25),
+                              (cloning_bounds, 5)):
+                b, one = bounds(a, grid), bounds(a, t)
+                assert [repr(getattr(b, f)[i].item()) for f in FIELDS] == \
+                    [repr(getattr(one, f)) for f in FIELDS]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [2.5, math.nan, "5", -3.0, True])
+    def test_grid_size_is_named(self, bad):
+        fam = dephasing_family(0.2)
+        with pytest.raises(ValueError, match="grid_size must be a positive integer"):
+            sample_boundary(fam, bad)
+        with pytest.raises(ValueError, match="grid_size must be a positive integer"):
+            membership(fam, OTP, grid_size=bad)
+
+    @pytest.mark.parametrize("build, bad, message", [
+        (dephasing_family, 2.0, "dephasing probability 2.0 outside"),
+        (dephasing_family, math.nan, "dephasing probability nan outside"),
+        (erasure_family, -1, "erasure probability -1 outside"),
+        (erasure_family, math.inf, "erasure probability inf outside"),
+        (cloning_family, 2.5, "cloning N must be a positive integer"),
+        (cloning_family, 0, "cloning N must be a positive integer"),
+    ])
+    def test_channel_parameter_is_checked_at_construction(self, build, bad, message):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+
+    @pytest.mark.parametrize("fam, name", [(dephasing_family(0.2), "nu"),
+                                           (erasure_family(0.25), "p"),
+                                           (cloning_family(3), "mu_clone")])
+    def test_grid_outside_the_domain_is_named(self, fam, name):
+        for grid, bad in (([0.1, 0.7], 0.7), ([-0.5, 0.2], -0.5), ([0.1, math.nan], math.nan)):
+            with pytest.raises(ValueError, match=f"boundary parameter {name} = {bad} outside"):
+                fam.fn(np.array(grid))
 
 
 class TestAdditivityGap:

@@ -21,7 +21,7 @@ def test_checkout_against_itself():
     assert out.returncode == 0, out.stderr
     header, *rows = out.stdout.splitlines()
     assert header.split()[0] == "operation"
-    assert len(rows) == 5 and all(row.endswith("/2") for row in rows)
+    assert len(rows) == 7 and all(row.endswith("/2") for row in rows)
 
 
 def test_a_changed_value_fails(tmp_path):
@@ -33,3 +33,17 @@ def test_a_changed_value_fails(tmp_path):
     assert "MISMATCH round 0" in out.stdout
     # each mismatch gives the signed change of the value
     assert re.search(r"change - parent = [+-]\d\.\d{3}e[+-]\d+ \(", out.stdout), out.stdout
+
+
+def test_a_changed_closed_form_names_its_field(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    regions = tmp_path / "src" / "privcap" / "regions.py"
+    source = regions.read_text()
+    assert "0.5 + 0.5 * np.sqrt(" in source
+    regions.write_text(source.replace("0.5 + 0.5 * np.sqrt(", "0.5 + 0.4999 * np.sqrt("))
+    out = ab(ROOT, tmp_path)
+    assert out.returncode == 1
+    # the first differing float of each closed-form output, with its signed change
+    assert re.search(r"MISMATCH round 0 sample_boundary grid 101: \[dephasing\]\[0\]\.b_ps: "
+                     r"change - parent = [+-]\d\.\d{3}e[+-]\d+ \(", out.stdout), out.stdout
+    assert "MISMATCH round 0 pareto_point AC2 pairs: [dephasing (0.0, 0.0)]" in out.stdout

@@ -228,6 +228,19 @@ class TestObjective:
         with pytest.raises(ValueError, match=f"{name} .*must be finite"):
             call(bad)
 
+    @pytest.mark.parametrize("call", [
+        lambda w, cfg: maximize_p(make_dephasing(0.2), w, cfg),
+        lambda w, cfg: additivity_gap(make_dephasing(0.2), w, cfg),
+        lambda w, cfg: quantum_dynamic_d(make_dephasing(0.2), w, cfg),
+    ], ids=["maximize_p", "additivity_gap", "quantum_dynamic_d"])
+    def test_all_nan_objective_is_named(self, call):
+        # lam + mu overflows: every objective value is NaN and no restart is kept
+        w = TradeoffWeights(1e308, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="no restart gave a finite objective value"):
+                call(w, SearchConfig(restarts=2, iters=10))
+
 
 class TestSearchConfig:
     def test_bad_field_is_named(self):

@@ -1,27 +1,32 @@
-"""Interleaved in-process A/B of the benchmark's search operations.
+"""Interleaved in-process A/B of the benchmark's search and closed-form operations.
 
     python tools/ab.py PARENT_ROOT CHANGE_ROOT [--restarts N] [--rounds R]
 
 Each argument is the root of a privcap checkout; its ``src/privcap`` is
 loaded as a package of its own, so both sides run in one process, on
 the same inputs, alternating which side goes first in each round.  The
-operations are those of the ``search-qubit`` and ``search-large``
+search operations are those of the ``search-qubit`` and ``search-large``
 workloads of ``bench/run.py``: ``maximize_p`` on dephasing 0.2 at two
 weight pairs, ``holevo_capacity`` of the completely dephasing channel,
 ``maximize_p`` on 1->10 cloning and ``additivity_gap`` on erasure 0.25,
-with seed = round index and ``SearchConfig(restarts=N)``.
+with seed = round index and ``SearchConfig(restarts=N)``.  The two
+closed-form operations ignore the ``SearchConfig``: ``sample_boundary``
+at grid 101 and ``pareto_point`` at the 16 AC2 weight pairs, each for
+the dephasing 0.2, 1->10 cloning and erasure 0.25 families.
 
 Prints, per operation, the median CPU seconds of each side and the
 median of the paired ratios parent/change (above 1: the change is
 faster), with the number of rounds the change was faster.  Exits 1 if
-any returned value or ensemble differs between the two sides in any bit;
-each such MISMATCH line gives change - parent of the value and whether
-the ensemble bytes differ.
+any returned value, ensemble or closed-form float differs between the
+two sides in any bit; each such MISMATCH line gives change - parent of
+the value (of the first differing field, for a closed-form operation)
+and whether the ensemble bytes differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import statistics
@@ -42,22 +47,50 @@ def load(root: str, name: str):
     return module
 
 
+AC2_WEIGHTS = tuple((lam, mu) for lam in (0.0, 0.5, 1.0, 2.0) for mu in (0.0, 0.5, 1.0, 2.0))
+
+
 def operations(pc):
-    """Operation name -> call(cfg), with the channels built once."""
+    """Operation name -> call(cfg), with the channels and families built once."""
     deph, delta = pc.make_dephasing(0.2), pc.make_dephasing(1.0)
     cloning, erasure = pc.make_cloning(10), pc.make_erasure(0.25)
     w = pc.TradeoffWeights
+    families = {"dephasing": pc.dephasing_family(0.2), "cloning10": pc.cloning_family(10),
+                "erasure": pc.erasure_family(0.25)}
     return {
         "maximize_p dephasing (1, 0)": lambda cfg: pc.maximize_p(deph, w(1.0, 0.0), cfg),
         "maximize_p dephasing (0.5, 2)": lambda cfg: pc.maximize_p(deph, w(0.5, 2.0), cfg),
         "holevo_capacity delta": lambda cfg: pc.holevo_capacity(delta, cfg),
         "maximize_p cloning10": lambda cfg: pc.maximize_p(cloning, w(1.0, 0.0), cfg),
         "additivity_gap erasure": lambda cfg: pc.additivity_gap(erasure, w(1.0, 0.0), cfg),
+        "sample_boundary grid 101": lambda cfg: {
+            key: pc.sample_boundary(fam, 101) for key, fam in families.items()},
+        "pareto_point AC2 pairs": lambda cfg: {
+            f"{key} {pair}": pc.pareto_point(fam, w(*pair))
+            for key, fam in families.items() for pair in AC2_WEIGHTS},
     }
 
 
+def _fields(out, label=""):
+    """(label, value) of every leaf of nested dicts, lists and dataclasses."""
+    if isinstance(out, dict):
+        for key, item in out.items():
+            yield from _fields(item, f"{label}[{key}]")
+    elif isinstance(out, list):
+        for i, item in enumerate(out):
+            yield from _fields(item, f"{label}[{i}]")
+    elif dataclasses.is_dataclass(out):
+        for f in dataclasses.fields(out):
+            yield from _fields(getattr(out, f.name), f"{label}.{f.name}")
+    else:
+        yield label, out
+
+
 def fingerprint(out) -> tuple:
-    """The value, and a digest of the ensemble a search returns (None for a scalar search)."""
+    """The value, and a digest of the ensemble a search returns (None for a
+    scalar search); for a closed-form operation, every labelled float."""
+    if isinstance(out, dict):
+        return tuple(_fields(out)), None
     if isinstance(out, tuple):
         value, ens = out
         return value, hashlib.sha256(ens.probs.tobytes() + ens.states.tobytes()).hexdigest()
@@ -65,8 +98,14 @@ def fingerprint(out) -> tuple:
 
 
 def mismatch(parent: tuple, change: tuple) -> str:
-    """The signed change of a value that differs in some bit, and of its ensemble."""
+    """The signed change of a value that differs in some bit, and of its
+    ensemble; for a closed-form operation, of its first differing field."""
     (a, ens_a), (b, ens_b) = parent, change
+    if isinstance(a, tuple):
+        for (label, x), (_, y) in zip(a, b):
+            if repr(x) != repr(y):
+                return f"{label}: change - parent = {y - x:+.3e} ({x!r} -> {y!r})"
+        return f"{len(a)} fields -> {len(b)} fields"
     ensemble = "" if ens_a is None else (
         ", ensemble bytes differ" if ens_a != ens_b else ", ensemble bytes equal")
     return f"change - parent = {b - a:+.3e} ({a!r} -> {b!r}){ensemble}"
