@@ -306,15 +306,22 @@ def _violations(b: BoundTriple, pt: RateTriple):
     )
 
 
-def _scan(family: BoundaryFamily, params, pt: RateTriple):
+def _grid(lo: float, hi: float, n: int):
+    """The floats of np.linspace(lo, hi, n) that differ from the one before
+    (which cannot beat the first best); the grid is built only once the
+    first, computed as numpy computes it, has been taken."""
+    yield 0.0 * ((hi - lo) / (n - 1)) + lo
+    params = np.linspace(lo, hi, n)
+    yield from params[1:][params[1:] != params[:-1]].tolist()
+
+
+def _scan(family: BoundaryFamily, lo: float, hi: float, grid_size: int, pt: RateTriple):
     best = (math.inf, None, None)
-    # a parameter equal to the one before cannot beat the first best
-    for t in params[np.concatenate(([True], params[1:] != params[:-1]))]:
-        b = family.fn(float(t))
-        vio = _violations(b, pt)
+    for t in _grid(lo, hi, grid_size):
+        vio = _violations(family.fn(t), pt)
         worst_name, worst = max(((n, v) for n, v in vio), key=lambda nv: nv[1])
         if worst < best[0]:
-            best = (worst, float(t), worst_name)
+            best = (worst, t, worst_name)
         if worst <= MEMBERSHIP_TOL:
             return best, True
     return best, False
@@ -330,12 +337,12 @@ def membership(family: BoundaryFamily, point, grid_size: int = 1001) -> Membersh
     for name, rate in (("R", pt.r), ("P", pt.p), ("S", pt.s)):
         if not math.isfinite(rate):
             raise ValueError(f"rate {name} must be finite, got {rate}")
-    (worst, t_best, name), inside = _scan(family, np.linspace(family.lo, family.hi, grid_size), pt)
+    (worst, t_best, name), inside = _scan(family, family.lo, family.hi, grid_size, pt)
     if not inside and worst < NEAR_MISS:
         span = (family.hi - family.lo) / (grid_size - 1)
         lo = max(family.lo, t_best - span)
         hi = min(family.hi, t_best + span)
-        (worst2, t2, name2), inside = _scan(family, np.linspace(lo, hi, grid_size), pt)
+        (worst2, t2, name2), inside = _scan(family, lo, hi, grid_size, pt)
         if worst2 < worst:
             worst, t_best, name = worst2, t2, name2
     if inside:

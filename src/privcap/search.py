@@ -5,7 +5,10 @@ The random stream is an xorshift64* generator specified by its recurrence
 all mod 2^64), so identical seeds reproduce identical searches on any
 platform.  Local refinement is a greedy coordinate pattern search with a
 shrinking step and a hard evaluation budget, whose probes are evaluated
-in speculative batches.
+in speculative batches.  A batch guesses that a ride probe (the repeat
+of a step that just improved) pays only if the last ride probe paid:
+every ride ends with a probe that fails, so the first probe of a new
+ride is guessed to fail and each probe after one that paid to pay.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ _MULT = 0x2545F4914F6CDD1D
 _SEED_MIX = 0x9E3779B97F4A7C15
 
 # Probes per batched objective call (see coordinate_ascent).  The search
-# objective recomputes only the branches a probe changed, so an extra row
-# costs little more than its share of the mixing layer, and the rows a
-# wrong guess discards cost less than the calls a lookahead of 1 makes.
-# Lookahead 8 against 1, default SearchConfig, medians of 6 interleaved
-# runs on a 2-core x86-64 machine: maximize_p on 1->10 cloning 5.7 s
-# against 7.4 s, additivity_gap on erasure 0.25 5.5 s against 8.1 s.
+# objective recomputes only the branches and conditional states a probe
+# changed, so an extra row costs little more than its share of the mixing
+# layer, and the rows a wrong guess discards cost less than the calls a
+# shorter lookahead makes.  Lookahead 6 / 8 / 12, default SearchConfig,
+# medians of 4 interleaved runs at seeds 1-4 on a 2-core x86-64 machine,
+# BLAS on one thread: maximize_p on 1->10 cloning 3.94 / 3.86 / 4.07 s
+# (seed 1: 4669 / 3979 / 3307 objective calls, 27.3k / 30.7k / 37.8k rows),
+# additivity_gap on erasure 0.25 4.68 / 4.31 / 5.15 s.
 LOOKAHEAD = 8
 SHRINK = 0.5  # step factor after a full cycle without improvement
 STEP_MIN = 1e-7  # the search stops once the step is at or below this
@@ -79,13 +84,14 @@ def coordinate_ascent(fn, theta, value, *, coords=None, step=0.3, budget=400):
     evals_used).
 
     ``fn`` maps a (k, n) stack of candidates to their (k,) values.  Each
-    call evaluates the next ``LOOKAHEAD`` probes the search would make if a
-    ride kept improving and every other probe failed (the candidates
-    depend only on which probes improve, not on the values).  The values
-    are taken in order up to the first probe whose outcome differs from
-    that guess, and the rest are discarded, so the search returns exactly
-    what probing one candidate at a time returns; ``evals_used`` counts
-    the probes taken, not those discarded.
+    call evaluates the next ``LOOKAHEAD`` probes the search would make if
+    every plus and minus probe failed and every ride probe had the outcome
+    of the ride probe before it (the candidates depend only on which
+    probes improve, not on the values).  The values are taken in order up
+    to the first probe whose outcome differs from that guess, and the rest
+    are discarded, so the search returns exactly what probing one
+    candidate at a time returns; ``evals_used`` counts the probes taken,
+    not those discarded.
     """
     theta = np.array(theta, dtype=float)
     order = list(range(len(theta))) if coords is None else list(coords)
@@ -97,7 +103,7 @@ def coordinate_ascent(fn, theta, value, *, coords=None, step=0.3, budget=400):
         cands, guesses = [], []
         while len(cands) < LOOKAHEAD and (cand := ahead.probe()) is not None:
             cands.append(cand)
-            guesses.append(ahead.phase == "ride")
+            guesses.append(ahead.phase == "ride" and ahead.ride_paid)
             ahead.advance(cand, None, guesses[-1])
         if not cands:
             return run.value, run.theta, run.used
@@ -111,13 +117,14 @@ class _PatternSearch:
 
     ``phase`` names the next probe: "plus" and "minus" try +-step on the
     current coordinate, "ride" repeats the step that just improved.
+    ``ride_paid`` is the outcome of the last ride probe (True before the first).
     """
 
     def __init__(self, theta, value, order, step, budget):
         self.theta, self.value = theta, value
         self.order, self.step, self.budget = order, step, budget
         self.used = self.cursor = self.stale = 0
-        self.phase, self.delta = "plus", step
+        self.phase, self.delta, self.ride_paid = "plus", step, True
 
     def probe(self):
         """The next candidate, or None once the search has stopped."""
@@ -130,6 +137,8 @@ class _PatternSearch:
     def advance(self, cand, v, improved: bool) -> bool:
         """Record the outcome of the candidate ``probe`` returned; returns ``improved``."""
         self.used += 1
+        if self.phase == "ride":
+            self.ride_paid = improved
         if improved:
             self.theta, self.value, self.phase = cand, v, "ride"
             if self.used >= self.budget:

@@ -223,29 +223,37 @@ def _evaluate(ch: KrausChannel, probs: np.ndarray, inputs, reads, kept=None, cha
 
     ``probs`` is (R, nx, ny) and ``inputs`` holds the (n, d, d) input
     states of the branches to evaluate: all R*nx*ny in row order, or,
-    given ``kept`` (an earlier call's per-branch inputs and entropies,
-    gathered by row), those the (R, nx*ny) mask ``changed`` flags; None
-    when it flags none.  Mixing in the input space, then one channel pass
-    per system read, then spectra, then sums.  Returns the evaluation and
-    the inputs and entropies a later call may keep.  A row's fields do
-    not depend on the other rows, bit for bit.
+    given ``kept`` (an earlier call's probabilities, per-branch inputs
+    and entropies and per-x conditional entropies, gathered by row),
+    those the (R, nx*ny) mask ``changed`` flags; None when it flags none.
+    A conditional state is then solved again only where its row's p(x, .)
+    differs in some bit from the kept one or a branch of its x changed.
+    Mixing in the input space, then one channel pass per system read, then
+    spectra, then sums.  Returns the evaluation and the arrays a later
+    call may keep.  A row's fields do not depend on the other rows, bit
+    for bit.
     """
     rows, nx, ny = probs.shape
-    branch = {}
+    cache = {}
 
-    def keep(key, part):
-        branch[key] = part.reshape((rows, nx * ny) + part.shape[1:]) if kept is None else kept[key]
+    def keep(key, part, renew, width):
+        cache[key] = part.reshape((rows, width) + part.shape[1:]) if kept is None else kept[key]
         if kept is not None and part is not None:
-            branch[key][changed] = part
-        return branch[key]
+            cache[key][renew] = part
+        return cache[key]
 
     # mixing step, in the input space; where p(x) = 0 the conditional input
     # is a zero-weight placeholder
-    states, d = keep("inputs", inputs), ch.dim_in
+    states, d = keep("inputs", inputs, changed, nx * ny), ch.dim_in
     p_x = probs.sum(axis=2)
     safe = (p_x > PROB_FLOOR)[..., None, None]
     summed = np.einsum("bxy,bxyij->bxij", probs, states.reshape(probs.shape + (d, d)))
     cond = np.where(safe, summed / np.where(safe, p_x[..., None, None], 1.0), np.eye(d) / d)
+    cache["probs"], renew = probs, None
+    if kept is not None:  # the conditional states whose p(x, .) or x's branches changed
+        renew = changed.reshape(rows, nx, ny).any(axis=2)
+        renew |= (probs.view(np.int64) != kept["probs"].view(np.int64)).any(axis=2)
+        cond = cond[renew]
     columns = (_expect(probs.reshape(rows, -1), states), cond.reshape(-1, d, d), inputs)
     stacks = {}
     for names, system in zip(_STACKS, ("B", "E", None)):  # channel step
@@ -262,10 +270,11 @@ def _evaluate(ch: KrausChannel, probs: np.ndarray, inputs, reads, kept=None, cha
         if h in reads:
             ev[h] = solved[h]
         if h_x in reads:
-            ev[h_x] = _expect(w_x, solved[h_x].reshape(rows, nx))
+            ev[h_x] = _expect(w_x, keep(h_x, solved.get(h_x), renew, nx))
         if h_xy in reads:
-            ev[h_xy] = _expect(probs.reshape(rows, -1), keep(h_xy, solved.get(h_xy)))
-    return CqEvaluation(**ev), branch
+            h_branch = keep(h_xy, solved.get(h_xy), changed, nx * ny)
+            ev[h_xy] = _expect(probs.reshape(rows, -1), h_branch)
+    return CqEvaluation(**ev), cache
 
 
 def _bundle(ch: KrausChannel, probs: np.ndarray, states: np.ndarray) -> CqEvaluation:
@@ -420,21 +429,23 @@ class _ProbeObjective:
     ``_linear_form(_bundle(ch, *space.decode(theta)), coeffs)`` would give
     it.  Only the fields with a non-zero coefficient are evaluated.
 
-    It keeps the branch inputs and branch entropies of its last call.
-    Each candidate is diffed against the nearest of those rows, branch
-    slice by branch slice; only the branches whose slice changed are
-    decoded and sent through the channel, in one batched call, and the
-    others are copied.
-    A coordinate probe changes no branch (a probability) or one (a
-    state), and an unchanged slice decodes to the bitwise same branch, so
-    every value is exact.
+    It keeps the probabilities, branch inputs and branch and conditional
+    entropies of its last call.  Each candidate is diffed against the
+    nearest of those rows, branch slice by branch slice; only the
+    branches whose slice changed are decoded and sent through the
+    channel, in one batched call, and the others are copied.  Likewise
+    only the conditional states of the x whose branches or p(x, .)
+    changed are sent and solved.  A coordinate probe changes every
+    p(x, .) and no branch (a probability) or one branch and its
+    conditional state (a state), and an unchanged slice decodes to the
+    bitwise same branch, so every value is exact.
     """
 
     def __init__(self, ch: KrausChannel, space: _ParamSpace, coeffs: dict):
         self.ch, self.space, self.coeffs = ch, space, coeffs
         self.reads = {name for name, c in coeffs.items() if c != 0.0}  # the fields evaluated
         self.slices = None  # (spp, m, nb) bit patterns of the last call's rows
-        self.kept = None  # their branch inputs and entropies, by row and branch
+        self.kept = None  # their inputs and entropies, by row and branch or x
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         return _linear_form(self.evaluate(theta), self.coeffs)
@@ -524,10 +535,10 @@ def _run_search(ch: KrausChannel, coeffs: dict, cfg: SearchConfig | None, *, mix
 
     Each restart's objective (a ``_ProbeObjective``) evaluates the fields
     with a non-zero coefficient of a stack of candidate parameter
-    vectors in one batched call, recomputing only the branches the probes
-    changed; ``coordinate_ascent`` fills the stack with the probes it is
-    about to make, which leaves the result as if the probes were made one
-    at a time.
+    vectors in one batched call, recomputing only the branches and
+    conditional states the probes changed; ``coordinate_ascent`` fills
+    the stack with the probes it is about to make, which leaves the
+    result as if the probes were made one at a time.
 
     Returns (best value, best probs, best states, diagnostics dict).
     """

@@ -260,6 +260,48 @@ class TestMembership:
         corner = RateTriple(b.b_rps - b.b_ps, b.b_rp + b.b_ps - b.b_rps, b.b_rps - b.b_rp)
         assert membership(fam, corner, grid_size=101).inside
 
+    def test_scan_is_the_full_grid_scan(self):
+        # taking the first grid parameter before building the grid leaves every
+        # field of the result as the scan over the whole np.linspace grid gives it
+        for fam in (dephasing_family(0.2), erasure_family(0.25), cloning_family(10),
+                    eb_family(1.0)):
+            mid = fam.fn(0.5 * (fam.lo + fam.hi))
+            corner = (mid.b_rps - mid.b_ps, mid.b_rp + mid.b_ps - mid.b_rps, mid.b_rps - mid.b_rp)
+            top = max(b.b_ps for b in sample_boundary(fam, 101))
+            points = (OTP, SKD, P2P, tuple(c - 0.05 for c in corner),
+                      (corner[0] + 5e-4, corner[1], corner[2]), (0.0, top + 0.01, 0.0))
+            for point in points:
+                assert repr(membership(fam, point)) == repr(_full_grid_membership(fam, point))
+
+
+
+def _full_grid_membership(family, point, grid_size=1001):
+    """``membership`` as a scan over the whole np.linspace grid, skipping a
+    parameter equal to the one before by a mask over the grid."""
+    from privcap.regions import MEMBERSHIP_TOL, NEAR_MISS, MembershipResult, _violations
+
+    pt = point if isinstance(point, RateTriple) else RateTriple(*point)
+
+    def scan(params):
+        best = (math.inf, None, None)
+        for t in params[np.concatenate(([True], params[1:] != params[:-1]))]:
+            worst_name, worst = max(_violations(family.fn(float(t)), pt), key=lambda nv: nv[1])
+            if worst < best[0]:
+                best = (worst, float(t), worst_name)
+            if worst <= MEMBERSHIP_TOL:
+                return best, True
+        return best, False
+
+    (worst, t_best, name), inside = scan(np.linspace(family.lo, family.hi, grid_size))
+    if not inside and worst < NEAR_MISS:
+        span = (family.hi - family.lo) / (grid_size - 1)
+        lo, hi = max(family.lo, t_best - span), min(family.hi, t_best + span)
+        (worst2, t2, name2), inside = scan(np.linspace(lo, hi, grid_size))
+        if worst2 < worst:
+            worst, t_best, name = worst2, t2, name2
+    if inside:
+        return MembershipResult(True, t_best, None, worst)
+    return MembershipResult(False, None, name, worst)
 
 class TestPareto:
     def test_erasure_collapse_region(self):

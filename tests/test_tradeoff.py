@@ -521,16 +521,50 @@ class TestInternals:
         assert systems == ["B"] * len(evaluations)
 
     def test_probe_cache_holds_inputs_and_entropies(self, rng):
-        # the per-branch cache holds the input states and branch entropies,
-        # nothing of the output or environment size
+        # the cache holds the probabilities, the input states and the branch
+        # and conditional entropies read, nothing of the output or environment size
         ch = make_cloning(10)
         space = _ParamSpace(2, 3, ch.dim_in, mixed=True)
         objective = _ProbeObjective(ch, space, dict.fromkeys(_ALL_FIELDS, 1.0))
         objective(rng.uniform(-1.0, 1.0, size=(4, space.size)))
-        assert sorted(objective.kept) == ["h_b_xy", "h_e_xy", "h_in_x", "inputs"]
+        assert sorted(objective.kept) == ["h_b_x", "h_b_xy", "h_e_x", "h_e_xy", "h_in_x",
+                                          "inputs", "probs"]
         assert objective.kept["inputs"].shape == (4, space.nb, 2, 2)
+        assert objective.kept["probs"].shape == (4, 2, 3)
         for key in ("h_b_xy", "h_e_xy", "h_in_x"):
             assert objective.kept[key].shape == (4, space.nb)
+        for key in ("h_b_x", "h_e_x"):
+            assert objective.kept[key].shape == (4, 2)
+        objective = _ProbeObjective(ch, space, {"h_b": 1.0, "h_b_xy": -1.0})
+        objective(rng.uniform(-1.0, 1.0, size=(4, space.size)))
+        assert sorted(objective.kept) == ["h_b_xy", "inputs", "probs"]
+
+    def test_probes_send_only_the_states_they_change(self, rng, monkeypatch):
+        # a state probe sends its average state, its changed branch and the
+        # conditional state of that branch's x; a probability probe sends its
+        # average state and every conditional state, and no branch
+        sent = []
+
+        def recorded(ch, states, system):
+            sent.append((system, len(states)))
+            return branch_outputs(ch, states, system)
+
+        monkeypatch.setattr(tradeoff, "branch_outputs", recorded)
+        ch = make_cloning(3)
+        space = _ParamSpace(3, 2, ch.dim_in, mixed=True)
+        objective = _ProbeObjective(ch, space, dict.fromkeys(_ALL_FIELDS, 1.0))
+        theta0 = rng.uniform(-1.0, 1.0, size=space.size)
+        state_probes, prob_probes = range(space.nb, space.size, 5), range(space.nb)
+        for coords, per_row in ((state_probes, 3), (prob_probes, 1 + space.nx)):
+            objective(theta0[None])  # the one kept row the probes are made from
+            stack = np.repeat(theta0[None], len(coords), axis=0)
+            stack[np.arange(len(coords)), list(coords)] += 0.3
+            sent.clear()
+            got = objective.evaluate(stack)
+            assert sent == [("B", per_row * len(stack)), ("E", per_row * len(stack))]
+            want = _bundle(ch, *space.decode(stack))
+            for f in fields(want):
+                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
 
     def test_solve_is_one_solve_per_stack(self, rng):
         # stacks of sizes 2 (the closed form), 3 and 4 (LAPACK), grouped by
@@ -653,7 +687,8 @@ class TestInternals:
         # probes evaluated ahead in batches leave value, point and count of the
         # plain search unchanged, for budgets that end mid-coordinate and
         # mid-ride, a coordinate subset, a flat objective that runs the step
-        # down to step_min, and NaN values
+        # down to step_min, NaN values, and rides that fail at once or pay
+        # once, so that a ride is guessed to pay and to fail, rightly and wrongly
         ch = make_dephasing(0.2)
         w = TradeoffWeights(1.0, 0.5)
         space = _ParamSpace(2, 2, 2, mixed=True)
@@ -668,17 +703,37 @@ class TestInternals:
         def flat(theta):
             return np.zeros(len(theta))
 
+        # from 0 at step 0.3: an offset of 0.2 makes the first ride fail, 1.0
+        # makes two rides pay and the third fail
+        peak = np.resize([0.2, 1.0, -0.2, -1.0], space.size)
+
+        def alternating(theta):
+            return -np.abs(theta - peak).sum(axis=1)
+
         cases = [(fn, budget, coords) for fn in (bundle, nan_above)
                  for budget, coords in ((1, None), (7, None), (33, range(4)), (400, None))]
         cases.append((flat, 400, range(2)))
+        cases.extend((alternating, budget, None) for budget in (33, 400))
+        advance = search._PatternSearch.advance
+        rides = set()
+
+        def recorded(self, cand, v, improved):
+            if v is not None and self.phase == "ride":  # a probe taken, not a guess
+                rides.add((bool(self.ride_paid), bool(improved)))
+            return advance(self, cand, v, improved)
+
+        monkeypatch.setattr(search._PatternSearch, "advance", recorded)
         for fn, budget, coords in cases:
             theta = rng.uniform(-1.0, 1.0, size=space.size)
+            if fn is alternating:
+                theta = np.zeros(space.size)
             v0 = fn(theta[None])[0]
             want = _plain_ascent(lambda c: fn(c[None])[0], theta, v0, coords=coords,
                                  step=0.3, budget=budget)
             for lookahead in (1, 2, 8, 13):
                 monkeypatch.setattr(search, "LOOKAHEAD", lookahead)
                 sizes = []
+                rides.clear()
 
                 def counted(cands):
                     sizes.append(len(cands))
@@ -691,6 +746,40 @@ class TestInternals:
                 assert got[2] == want[2] <= budget
                 assert max(sizes) <= lookahead
                 assert lookahead > 1 or sum(sizes) == want[2]
+                if fn is alternating:
+                    # (last ride paid, this ride pays): every pair is met
+                    assert rides == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_searches_do_not_depend_on_the_lookahead(self, monkeypatch):
+        # every search run, single- and two-copy, returns bitwise the same
+        # value and ensemble whether probes are evaluated one at a time or
+        # in speculative batches
+        runs = []
+
+        def recorded(*args, **kwargs):
+            value, probs, states, diag = run_search(*args, **kwargs)
+            runs.append((repr(value), probs.tobytes(), states.tobytes()))
+            return value, probs, states, diag
+
+        run_search = tradeoff._run_search
+        monkeypatch.setattr(tradeoff, "_run_search", recorded)
+        cfg = SearchConfig(seed=4, restarts=5, iters=30)
+        w = TradeoffWeights(1.0, 0.5)
+
+        def run(lookahead):
+            monkeypatch.setattr(search, "LOOKAHEAD", lookahead)
+            runs.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for ch in (make_dephasing(0.2), ERASURE, make_cloning(3)):
+                    runs.append(repr(maximize_p(ch, w, cfg)[0]))
+                    runs.append(repr(holevo_capacity(ch, cfg)))
+                    runs.append(repr(additivity_gap(ch, w, cfg)))
+            return list(runs)
+
+        batched = run(8)
+        assert len(batched) == 3 * (3 + 4)
+        assert run(1) == batched
 
 
 def _plain_ascent(fn, theta, value, *, coords, step, budget, shrink=0.5, step_min=1e-7):

@@ -14,9 +14,10 @@ closed-form operations ignore the ``SearchConfig``: ``sample_boundary``
 at grid 101 and ``pareto_point`` at the 16 AC2 weight pairs, each for
 the dephasing 0.2, 1->10 cloning and erasure 0.25 families.
 
-Prints, per operation, the median CPU seconds of each side and the
-median of the paired ratios parent/change (above 1: the change is
-faster), with the number of rounds the change was faster.  Exits 1 if
+BLAS runs on one thread, as in the benchmark.  Prints, per operation,
+the median CPU seconds of each side and the median of the paired ratios
+parent/change (above 1: the change is faster), with the number of
+rounds the change was faster.  Exits 1 if
 any returned value, ensemble or closed-form float differs between the
 two sides in any bit; each such MISMATCH line gives change - parent of
 the value (of the first differing field, for a closed-form operation)
@@ -25,15 +26,22 @@ and whether the ensemble bytes differ.
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import hashlib
-import importlib.util
-import statistics
-import sys
-import time
-import warnings
-from pathlib import Path
+import os
+
+# BLAS on one thread, as in bench/run.py; set before either side imports numpy
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 
 def load(root: str, name: str):
