@@ -308,8 +308,8 @@ def _violations(b: BoundTriple, pt: RateTriple):
 
 def _grid(lo: float, hi: float, n: int):
     """The floats of np.linspace(lo, hi, n) that differ from the one before
-    (which cannot beat the first best); the grid is built only once the
-    first, computed as numpy computes it, has been taken."""
+    them (an equal one cannot beat the first best).  The first is computed
+    as numpy computes it, so the grid is built only if a scan goes on."""
     yield 0.0 * ((hi - lo) / (n - 1)) + lo
     params = np.linspace(lo, hi, n)
     yield from params[1:][params[1:] != params[:-1]].tolist()

@@ -6,9 +6,9 @@ all mod 2^64), so identical seeds reproduce identical searches on any
 platform.  Local refinement is a greedy coordinate pattern search with a
 shrinking step and a hard evaluation budget, whose probes are evaluated
 in speculative batches.  A batch guesses that a ride probe (the repeat
-of a step that just improved) pays only if the last ride probe paid:
-every ride ends with a probe that fails, so the first probe of a new
-ride is guessed to fail and each probe after one that paid to pay.
+of a step that just improved) pays only if the last ride probe paid.
+Every ride ends with a probe that fails, so the first probe of a new
+ride is guessed to fail, and a probe after one that paid to pay.
 """
 
 from __future__ import annotations

@@ -251,8 +251,8 @@ def _evaluate(ch: KrausChannel, probs: np.ndarray, inputs, reads, kept=None, cha
     cond = np.where(safe, summed / np.where(safe, p_x[..., None, None], 1.0), np.eye(d) / d)
     cache["probs"], renew = probs, None
     if kept is not None:  # the conditional states whose p(x, .) or x's branches changed
-        renew = changed.reshape(rows, nx, ny).any(axis=2)
-        renew |= (probs.view(np.int64) != kept["probs"].view(np.int64)).any(axis=2)
+        moved = probs.view(np.int64) != kept["probs"].view(np.int64)
+        renew = (changed.reshape(rows, nx, ny) | moved).any(axis=2)
         cond = cond[renew]
     columns = (_expect(probs.reshape(rows, -1), states), cond.reshape(-1, d, d), inputs)
     stacks = {}
@@ -445,7 +445,7 @@ class _ProbeObjective:
         self.ch, self.space, self.coeffs = ch, space, coeffs
         self.reads = {name for name, c in coeffs.items() if c != 0.0}  # the fields evaluated
         self.slices = None  # (spp, m, nb) bit patterns of the last call's rows
-        self.kept = None  # their inputs and entropies, by row and branch or x
+        self.kept = None  # their probabilities, inputs and entropies, by row
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         return _linear_form(self.evaluate(theta), self.coeffs)

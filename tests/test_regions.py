@@ -33,7 +33,15 @@ from privcap import (
     unit_matrix_inverse_check,
 )
 from privcap.entropy import binary_entropy
-from privcap.regions import UNIT_MATRIX, UNIT_MATRIX_INVERSE, matrices_are_inverse
+from privcap.regions import (
+    MEMBERSHIP_TOL,
+    NEAR_MISS,
+    UNIT_MATRIX,
+    UNIT_MATRIX_INVERSE,
+    MembershipResult,
+    _violations,
+    matrices_are_inverse,
+)
 from privcap.verify import _boundary_ensemble
 from conftest import random_ensemble
 
@@ -274,12 +282,9 @@ class TestMembership:
                 assert repr(membership(fam, point)) == repr(_full_grid_membership(fam, point))
 
 
-
 def _full_grid_membership(family, point, grid_size=1001):
     """``membership`` as a scan over the whole np.linspace grid, skipping a
     parameter equal to the one before by a mask over the grid."""
-    from privcap.regions import MEMBERSHIP_TOL, NEAR_MISS, MembershipResult, _violations
-
     pt = point if isinstance(point, RateTriple) else RateTriple(*point)
 
     def scan(params):
@@ -302,6 +307,7 @@ def _full_grid_membership(family, point, grid_size=1001):
     if inside:
         return MembershipResult(True, t_best, None, worst)
     return MembershipResult(False, None, name, worst)
+
 
 class TestPareto:
     def test_erasure_collapse_region(self):

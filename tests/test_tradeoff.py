@@ -688,7 +688,7 @@ class TestInternals:
         # plain search unchanged, for budgets that end mid-coordinate and
         # mid-ride, a coordinate subset, a flat objective that runs the step
         # down to step_min, NaN values, and rides that fail at once or pay
-        # once, so that a ride is guessed to pay and to fail, rightly and wrongly
+        # twice, so that a ride is guessed to pay and to fail, rightly and wrongly
         ch = make_dephasing(0.2)
         w = TradeoffWeights(1.0, 0.5)
         space = _ParamSpace(2, 2, 2, mixed=True)

@@ -17,11 +17,11 @@ the dephasing 0.2, 1->10 cloning and erasure 0.25 families.
 BLAS runs on one thread, as in the benchmark.  Prints, per operation,
 the median CPU seconds of each side and the median of the paired ratios
 parent/change (above 1: the change is faster), with the number of
-rounds the change was faster.  Exits 1 if
-any returned value, ensemble or closed-form float differs between the
-two sides in any bit; each such MISMATCH line gives change - parent of
-the value (of the first differing field, for a closed-form operation)
-and whether the ensemble bytes differ.
+rounds the change was faster.  Exits 1 if any returned value, ensemble
+or closed-form float differs between the two sides in any bit; each
+such MISMATCH line gives change - parent of the value (of the first
+differing field, for a closed-form operation) and whether the ensemble
+bytes differ.
 """
 
 from __future__ import annotations
